@@ -120,11 +120,31 @@ grep -q '"scaling_meets_target": true' BENCH_serve.json \
 awk -F': ' '/"profiled":/ { gsub(/,/, "", $2); ok = ($2 + 0 <= 1.55) }
             END { exit !ok }' BENCH_serve.json \
     || { echo "profiled overhead exceeds the 1.55x ceiling"; exit 1; }
+# Production-path profiled ceiling: profiled vs plain, both on the
+# sharded runtime at one shard per host core. Window capture runs
+# inside the fused chip kernel; when it fell back to the reference
+# loop this row read 2.5-3.4x on a 2-core host (1.8-2.2x fused).
+awk -F': ' '/"profiled_sharded":/ { gsub(/,/, "", $2); ok = ($2 + 0 <= 2.40) }
+            END { exit !ok }' BENCH_serve.json \
+    || { echo "sharded profiled overhead exceeds the 2.40x ceiling"; exit 1; }
 # Introspection-overhead ceiling: the live scoreboard plus the armed
 # decision audit must cost at most 1.10x over the sharded baseline.
 awk -F': ' '/"introspection":/ { gsub(/,/, "", $2); ok = ($2 + 0 <= 1.10) }
             END { exit !ok }' BENCH_serve.json \
     || { echo "introspection overhead exceeds the 1.10x ceiling"; exit 1; }
+
+echo "== perfbench smoke (benchmark harness) =="
+# The production-path benchmark's own unit tests (its output checks
+# must reject mismatches), then one short instrumented run: it checks
+# digest stability across batches, trace validity and job completion
+# through the window-capture path, and prints "correct": true only if
+# every check held.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_instrumented --seed 1 --seconds 1 --trace 0 \
+    | tee target/ci_perfbench.out
+tail -n 1 target/ci_perfbench.out | grep -q '"correct": true' \
+    || { echo "perfbench serve_instrumented smoke run failed its checks"; exit 1; }
 
 echo "== obs demo (live endpoints over loopback HTTP) =="
 # The demo attaches the embedded scrape server to the monitored

@@ -12,7 +12,9 @@
 //! wall-clock milliseconds and simulated kilocycles per second over
 //! `ROUNDS` runs of an identical job stream, plus the median per-pair
 //! overhead ratio of each armed instrument over interleaved plain runs
-//! (including the bounded-memory streaming trace pipeline and an
+//! (including a `profiled_sharded` row: profiled vs plain, both on the
+//! sharded runtime at one shard per host core, the bounded-memory
+//! streaming trace pipeline and an
 //! `obs_scrape_under_load` row: a monitored run publishing into a live
 //! scrape server hammered by a loopback `/metrics` client, against the
 //! same monitored run unobserved; and an `introspection` row: the
@@ -30,7 +32,7 @@ use vsmooth::monitor::MonitorConfig;
 use vsmooth::pdn::DecapConfig;
 use vsmooth::profile::ProfileConfig;
 use vsmooth::sched::OnlineDroop;
-use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
+use vsmooth::serve::{synthetic_jobs, RuntimeMode, Service, ServiceConfig};
 use vsmooth::trace::{StreamConfig, Tracer};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -114,16 +116,17 @@ fn main() {
          monotone(3% tol) = {scaling_monotone}, meets 2.5x target = {scaling_meets_target}"
     );
 
-    // Armed-instrument overhead at one worker: interleaved pairs of
-    // (plain, armed) runs of the same stream, median of per-pair
-    // ratios, so slow timing drift of the host cancels out instead of
-    // skewing whichever side happened to run later.
-    let overhead = |name: &str, run: &dyn Fn()| -> (String, f64) {
+    // Armed-instrument overhead: interleaved pairs of (plain, armed)
+    // runs of the same stream, median of per-pair ratios, so slow
+    // timing drift of the host cancels out instead of skewing
+    // whichever side happened to run later.
+    let overhead_vs = |name: &str, plain: &dyn Fn(), run: &dyn Fn()| -> (String, f64) {
+        plain();
         run(); // warm up
         let mut pair_ratios = Vec::with_capacity(ROUNDS);
         for _ in 0..ROUNDS {
             let start = Instant::now();
-            service.run(&jobs, &OnlineDroop, 1).expect("service run");
+            plain();
             let plain = start.elapsed().as_secs_f64().max(1e-9);
             let start = Instant::now();
             run();
@@ -133,6 +136,19 @@ fn main() {
         println!("{name} overhead: {ratio:.2}x");
         (name.to_string(), ratio)
     };
+    // The historical rows run at one worker, against a plain
+    // one-worker run.
+    let plain_one_worker = || {
+        service.run(&jobs, &OnlineDroop, 1).expect("service run");
+    };
+    let overhead = |name: &str, run: &dyn Fn()| overhead_vs(name, &plain_one_worker, run);
+    // The production path: the sharded runtime at one shard per host
+    // core, profiled against plain.
+    let shards = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut sharded_cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
+    sharded_cfg.slice_cycles = SLICE;
+    sharded_cfg.runtime = RuntimeMode::Sharded;
+    let sharded = Service::new(sharded_cfg).expect("valid config");
     let mut ratios = vec![
         overhead("traced", &|| {
             let tracer = Tracer::enabled();
@@ -151,6 +167,25 @@ fn main() {
                 )
                 .expect("service run");
         }),
+        overhead_vs(
+            "profiled_sharded",
+            &|| {
+                sharded
+                    .run(&jobs, &OnlineDroop, shards)
+                    .expect("service run");
+            },
+            &|| {
+                sharded
+                    .run_profiled(
+                        &jobs,
+                        &OnlineDroop,
+                        shards,
+                        &Tracer::disabled(),
+                        ProfileConfig::default(),
+                    )
+                    .expect("service run");
+            },
+        ),
         overhead("monitored", &|| {
             service
                 .run_monitored(

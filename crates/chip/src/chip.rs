@@ -6,13 +6,14 @@
 //! (Sec. III-C.) The chip sums per-core current draws into the PDN
 //! model and senses the resulting die voltage every cycle.
 
-use crate::session::{DroopCrossing, MeasureState};
+use crate::fastpath::{run_fused, warm_up_fast, FastCache, FnSource};
+use crate::session::{CycleHook, DroopCrossing, MeasureState, NoHook, TraceHook};
 use crate::stats::RunStats;
 use crate::window::{DroopWindow, WindowConfig};
 use crate::ChipError;
 use serde::{Deserialize, Serialize};
 use vsmooth_pdn::{DecapConfig, DiscreteStateSpace, LadderConfig, VrmRipple};
-use vsmooth_uarch::{Core, CoreConfig, StimulusSource};
+use vsmooth_uarch::{Core, CoreConfig, CycleStimulus, StimulusSource};
 
 /// The VRM's DC regulation behaviour (Intel VRD 11.0-style remote
 /// sensing with a load-line).
@@ -260,7 +261,8 @@ impl Chip {
         cycles: u64,
         interval_cycles: u64,
     ) -> Result<RunStats, ChipError> {
-        self.run_inner(sources, cycles, interval_cycles, None, None)
+        let state = self.measure_dyn(sources, cycles, interval_cycles, |_, _| {}, &mut NoHook)?;
+        Ok(state.into_stats(self))
     }
 
     /// Like [`Chip::run`], but additionally captures the raw voltage
@@ -278,14 +280,13 @@ impl Chip {
         trace_cycles: u64,
     ) -> Result<(RunStats, Vec<f64>), ChipError> {
         let mut trace = Vec::with_capacity(trace_cycles.min(cycles) as usize);
-        let stats = self.run_inner(
-            sources,
-            cycles,
-            interval_cycles,
-            Some((&mut trace, trace_cycles)),
-            None,
-        )?;
-        Ok((stats, trace))
+        let mut hook = TraceHook {
+            buf: &mut trace,
+            limit: trace_cycles,
+            seen: 0,
+        };
+        let state = self.measure_dyn(sources, cycles, interval_cycles, |_, _| {}, &mut hook)?;
+        Ok((state.into_stats(self), trace))
     }
 
     /// Like [`Chip::run`], but additionally logs every individual
@@ -303,16 +304,10 @@ impl Chip {
         interval_cycles: u64,
         margin_pct: f64,
     ) -> Result<(RunStats, Vec<DroopCrossing>), ChipError> {
-        self.check_sources(sources.len())?;
-        if interval_cycles == 0 {
-            return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
-        }
-        self.warm_up(sources);
-        let mut state = MeasureState::new(self, interval_cycles);
-        state.enable_droop_capture(margin_pct);
-        state.run(self, sources, cycles, None, None);
-        let crossings = state.take_droop_crossings();
-        Ok((state.into_stats(self), crossings))
+        let arm = |state: &mut MeasureState, _: &Chip| state.enable_droop_capture(margin_pct);
+        let state = self.measure_dyn(sources, cycles, interval_cycles, arm, &mut NoHook)?;
+        let (stats, crossings, _) = state.into_outputs(self);
+        Ok((stats, crossings))
     }
 
     /// Like [`Chip::run_with_droop_log`], but every crossing
@@ -337,49 +332,85 @@ impl Chip {
         margin_pct: f64,
         window: WindowConfig,
     ) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
+        let arm = |state: &mut MeasureState, chip: &Chip| {
+            state.enable_window_capture(chip, margin_pct, window);
+        };
+        let state = self.measure_dyn(sources, cycles, interval_cycles, arm, &mut NoHook)?;
+        Ok(state.into_outputs(self))
+    }
+
+    /// The one-shot measurement path behind every `run*` entry point
+    /// over a source slice: a two-source slice becomes a closure pair
+    /// for [`Chip::measure`]; any other count runs the reference loop
+    /// (which rejects a count that does not match the cores).
+    pub(crate) fn measure_dyn<H: CycleHook>(
+        &mut self,
+        sources: &mut [&mut dyn StimulusSource],
+        cycles: u64,
+        interval_cycles: u64,
+        arm: impl FnOnce(&mut MeasureState, &Chip),
+        hook: &mut H,
+    ) -> Result<MeasureState, ChipError> {
+        match sources {
+            [a, b] => self.measure(|| a.next(), || b.next(), cycles, interval_cycles, arm, hook),
+            _ => self.measure_reference(sources, cycles, interval_cycles, arm, hook),
+        }
+    }
+
+    /// Warms up under the two sources, lets `arm` switch on capture
+    /// channels, and measures `cycles` cycles — through the fused
+    /// kernel (`crate::fastpath`) when the chip's shape qualifies, the
+    /// reference loop otherwise. Both produce the same bits.
+    pub(crate) fn measure<S0, S1, H>(
+        &mut self,
+        mut s0: S0,
+        mut s1: S1,
+        cycles: u64,
+        interval_cycles: u64,
+        arm: impl FnOnce(&mut MeasureState, &Chip),
+        hook: &mut H,
+    ) -> Result<MeasureState, ChipError>
+    where
+        S0: FnMut() -> CycleStimulus + Send,
+        S1: FnMut() -> CycleStimulus + Send,
+        H: CycleHook,
+    {
+        self.check_sources(2)?;
+        if interval_cycles == 0 {
+            return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
+        }
+        let Some(cache) = FastCache::build(self) else {
+            let mut w0 = FnSource(s0);
+            let mut w1 = FnSource(s1);
+            let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
+            return self.measure_reference(&mut sources, cycles, interval_cycles, arm, hook);
+        };
+        warm_up_fast(self, &cache, &mut s0, &mut s1);
+        let mut state = MeasureState::new(self, interval_cycles);
+        arm(&mut state, self);
+        run_fused(self, &mut state, &cache, s0, s1, hook, cycles);
+        Ok(state)
+    }
+
+    /// [`Chip::measure`] on the reference loop, for chip shapes the
+    /// fused kernel is not specialized for (and the tests' oracle).
+    pub(crate) fn measure_reference<H: CycleHook>(
+        &mut self,
+        sources: &mut [&mut dyn StimulusSource],
+        cycles: u64,
+        interval_cycles: u64,
+        arm: impl FnOnce(&mut MeasureState, &Chip),
+        hook: &mut H,
+    ) -> Result<MeasureState, ChipError> {
         self.check_sources(sources.len())?;
         if interval_cycles == 0 {
             return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
         }
         self.warm_up(sources);
         let mut state = MeasureState::new(self, interval_cycles);
-        state.enable_window_capture(self, margin_pct, window);
-        state.run(self, sources, cycles, None, None);
-        let crossings = state.take_droop_crossings();
-        let windows = state.flush_droop_windows(self);
-        Ok((state.into_stats(self), crossings, windows))
-    }
-
-    /// Like [`Chip::run`], but consults `hook` before every cycle with
-    /// the previously sensed voltage; the hook decides whether the cycle
-    /// executes the program or a rollback (see
-    /// [`crate::resilient::CycleControl`]).
-    pub(crate) fn run_with_hook(
-        &mut self,
-        sources: &mut [&mut dyn StimulusSource],
-        cycles: u64,
-        interval_cycles: u64,
-        hook: &mut dyn FnMut(f64) -> crate::resilient::CycleControl,
-    ) -> Result<RunStats, ChipError> {
-        self.run_inner(sources, cycles, interval_cycles, None, Some(hook))
-    }
-
-    fn run_inner(
-        &mut self,
-        sources: &mut [&mut dyn StimulusSource],
-        cycles: u64,
-        interval_cycles: u64,
-        trace: Option<(&mut Vec<f64>, u64)>,
-        hook: Option<&mut dyn FnMut(f64) -> crate::resilient::CycleControl>,
-    ) -> Result<RunStats, ChipError> {
-        self.check_sources(sources.len())?;
-        if interval_cycles == 0 {
-            return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
-        }
-        self.warm_up(sources);
-        let mut state = MeasureState::new(self, interval_cycles);
-        state.run(self, sources, cycles, trace, hook);
-        Ok(state.into_stats(self))
+        arm(&mut state, self);
+        state.run(self, sources, cycles, hook);
+        Ok(state)
     }
 
     /// Validates that `count` stimulus sources match the core count.
@@ -414,19 +445,10 @@ impl Chip {
         self.cores.iter().map(|c| *c.counters()).collect()
     }
 
-    /// Number of cores on the chip.
-    pub(crate) fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// One core's counters, borrowed (no per-cycle allocation).
-    pub(crate) fn core_perf(&self, core: usize) -> &vsmooth_uarch::PerfCounters {
-        self.cores[core].counters()
-    }
-
-    /// One core's current draw after the last tick, in amperes.
-    pub(crate) fn core_current(&self, core: usize) -> f64 {
-        self.cores[core].current()
+    /// The cores, read-only: the per-core counters and currents the
+    /// window capture and invariant checker sample every cycle.
+    pub(crate) fn cores(&self) -> &[Core] {
+        &self.cores
     }
 }
 
@@ -527,6 +549,35 @@ mod tests {
         assert_eq!(trace.len(), 2_500);
         // All samples near nominal voltage.
         assert!(trace.iter().all(|&v| (v - c.nominal_voltage()).abs() < 0.1));
+    }
+
+    #[test]
+    fn traced_runs_match_the_reference_loop_bits() {
+        let run = |reference: bool| {
+            let mut c = chip();
+            let mut micro = Microbenchmark::new(StallEvent::TlbMiss, 7);
+            let mut idle = IdleLoop::default();
+            let mut s: Vec<&mut dyn StimulusSource> = vec![&mut micro, &mut idle];
+            if !reference {
+                return c.run_with_trace(&mut s, 9_000, 4_000, 5_000).unwrap();
+            }
+            let mut trace = Vec::new();
+            let mut hook = TraceHook {
+                buf: &mut trace,
+                limit: 5_000,
+                seen: 0,
+            };
+            let state = c
+                .measure_reference(&mut s, 9_000, 4_000, |_, _| {}, &mut hook)
+                .unwrap();
+            (state.into_stats(&c), trace)
+        };
+        let (ref_stats, ref_trace) = run(true);
+        let (stats, trace) = run(false);
+        assert_eq!(stats, ref_stats);
+        assert_eq!(trace.len(), 5_000);
+        let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&trace), bits(&ref_trace));
     }
 
     #[test]

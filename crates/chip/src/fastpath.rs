@@ -1,17 +1,18 @@
-//! Fused fast-slice kernel: the per-cycle chip loop monomorphized and
-//! flattened for the serving runtime's shard workers.
+//! The fused chip kernel: the per-cycle measurement loop monomorphized
+//! and flattened. It is the production kernel of every measurement
+//! path — the serving runtime's shard workers, one-shot [`Chip::run`]
+//! and its logged/profiled/hooked/traced variants, and through them
+//! the campaign, fleet and paper-reproduction runners.
 //!
 //! The reference per-cycle path ([`Chip::step_cycle`] +
 //! [`MeasureState::run`]) walks a `Vec`-backed state-space model
 //! through bounds-checked `Mat` indexing, dispatches stimulus sources
 //! through `&mut dyn`, and recomputes the VRM ripple phase with a
 //! division every cycle. None of that changes the physics — it is pure
-//! interpretation overhead, and it dominates the serving throughput
-//! row of `BENCH_serve.json`.
+//! interpretation overhead.
 //!
-//! This module specializes the loop for the service's common case
-//! (2-core chip, 8-state PDN with 2 inputs, interval-aligned slices,
-//! no waveform windows, no invariant checker) into one fused loop over
+//! This module specializes the loop for the platform's shape (2-core
+//! chip, 8-state PDN with 2 inputs) into one fused loop over
 //! fixed-size arrays with closure-typed stimulus sources. The kernel
 //! reproduces the reference floating-point accumulation order
 //! *exactly* — same adds, same order, same clamps — so every value it
@@ -21,31 +22,49 @@
 //! (`tests/shard_equivalence.rs`), and it is enforced by the identity
 //! tests at the bottom of this file.
 //!
-//! Two measurement channels the serving layer never reads are *not*
-//! maintained by the fast kernel: the voltage sensor's
-//! histogram/summary and the overshoot crossing grid. A session driven
-//! through [`ChipSession::run_slice_fast`] therefore reports
-//! [`SliceStats`], droop crossings, the droop grid and the interval
-//! timeline exactly, but its final [`RunStats`](crate::RunStats)
-//! under-counts sensor samples and overshoots. The service consumes
-//! only the former set; callers that need full `RunStats` should use
-//! [`ChipSession::run_slice`].
+//! # Capture channels
+//!
+//! What the loop records beyond the slice summary and the droop grid
+//! is a **monomorphized channel mask**: one generic loop,
+//! instantiated per combination of armed channels, where each channel
+//! is a `const` flag that either compiles to its per-cycle work or to
+//! nothing. The channels are:
+//!
+//! - crossings — timestamped [`DroopCrossing`](crate::DroopCrossing)s;
+//! - window — triggered [`DroopWindow`](crate::DroopWindow)s (implies
+//!   crossings);
+//! - invariants — the [`invariant`](crate::invariant) checker;
+//! - run stats — the voltage sensor's histogram/summary and the
+//!   overshoot grid, which only the final
+//!   [`RunStats`](crate::RunStats) reads.
+//!
+//! One-shot runs and sessions opened with
+//! [`ChipSession::begin`](crate::ChipSession::begin) keep run stats
+//! on; sessions opened with [`ChipSession::begin_fast`] — the serving
+//! runtime, which reads only [`SliceStats`] — leave them off, so their
+//! final `RunStats` under-counts sensor samples and overshoots.
+//! Slices of any length run fused: the loop splits at interval
+//! boundaries so the interval-timeline push stays out of the per-cycle
+//! body.
+//!
+//! Chips of any other shape — one-core rails, generated ladders —
+//! run the reference loop; sessions count those slices (see
+//! [`ChipSession::kernel_fallback_slices`](crate::ChipSession::kernel_fallback_slices)).
 
 use crate::chip::Chip;
-use crate::session::{DroopCapture, MeasureState, SliceStats};
+use crate::session::{CycleHook, MeasureState, NoHook, SliceStats};
 use crate::stats::PHASE_MARGIN_PCT;
 use crate::ChipError;
-use vsmooth_uarch::{CycleStimulus, PerfCounters, StimulusSource};
+use vsmooth_uarch::{Core, CycleStimulus, StimulusSource};
 
 /// Largest ripple period we precompute a lookup table for. The
 /// platform's VRM switches every 1 900 cycles; anything vastly larger
-/// would just waste cache, so such configs fall back to the reference
-/// loop.
+/// would just waste cache, so such configs run the reference loop.
 const MAX_RIPPLE_TABLE: u64 = 1 << 16;
 
 /// Adapter exposing a closure as a [`StimulusSource`], so callers that
-/// hold closure-typed sources can still run the reference loop when a
-/// slice does not qualify for the fused kernel.
+/// hold closure-typed sources can still run the reference loop on a
+/// chip the fused kernel is not specialized for.
 pub(crate) struct FnSource<F: FnMut() -> CycleStimulus + Send>(pub(crate) F);
 
 impl<F: FnMut() -> CycleStimulus + Send> StimulusSource for FnSource<F> {
@@ -128,16 +147,34 @@ impl FastCache {
     }
 }
 
-/// Whether a slice of `cycles` can run through the fused kernel right
-/// now: no waveform windows or invariant checker armed (those hooks
-/// read whole-chip state mid-cycle), and the slice must start and end
-/// on interval boundaries so the interval-timeline push can be hoisted
-/// out of the loop.
-pub(crate) fn fast_slice_supported(state: &MeasureState, cycles: u64) -> bool {
-    state.window.is_none()
-        && state.invariants.is_none()
-        && cycles == state.interval_cycles
-        && state.measured_cycles.is_multiple_of(state.interval_cycles)
+/// A session's fused-kernel verdict, resolved once: the shape of a
+/// chip never changes, so neither does whether the kernel can run it.
+#[derive(Debug, Clone)]
+pub(crate) enum FastKernel {
+    /// Not built yet (sessions opened on the reference loop build it on
+    /// their first closure-sourced slice).
+    Untried,
+    /// The chip qualifies; coefficients ready.
+    Ready(Box<FastCache>),
+    /// The chip's shape is outside the kernel's specialization.
+    Unsupported,
+}
+
+impl FastKernel {
+    /// Resolves the verdict for `chip` on first use and returns the
+    /// cache when the kernel can run it.
+    pub(crate) fn resolve(&mut self, chip: &Chip) -> Option<&FastCache> {
+        if matches!(self, FastKernel::Untried) {
+            *self = match FastCache::build(chip) {
+                Some(cache) => FastKernel::Ready(Box::new(cache)),
+                None => FastKernel::Unsupported,
+            };
+        }
+        match self {
+            FastKernel::Ready(cache) => Some(cache),
+            _ => None,
+        }
+    }
 }
 
 /// Runs the chip's configured warm-up through the fused kernel and
@@ -231,26 +268,85 @@ fn step_pdn(cache: &FastCache, x: &mut [f64; 8], u0: f64, u1: f64) -> f64 {
     y
 }
 
-/// Advances one interval-aligned slice through the fused kernel.
-///
-/// Mirrors [`MeasureState::run`] + [`Chip::step_cycle`] cycle for
-/// cycle (stimulus → core tick → regulator trim → PDN step → ripple →
-/// deviation → droop grid → droop capture), skipping only the sensor
-/// histogram/summary and overshoot grid (see the module docs). The
-/// caller must have checked [`fast_slice_supported`].
-pub(crate) fn run_slice_fast<S0, S1>(
+/// Channel bit: timestamped droop crossings.
+const CROSSINGS: u8 = 1;
+/// Channel bit: triggered waveform windows (always with crossings).
+const WINDOW: u8 = 2;
+/// Channel bit: the invariant checker.
+const INVARIANTS: u8 = 4;
+/// Channel bit: sensor histogram/summary plus overshoot grid.
+const RUN_STATS: u8 = 8;
+
+/// Whether channel `bit` is set in `mask` — evaluated at compile time
+/// inside [`fused_slice`], so an unset channel leaves no code behind.
+const fn armed(mask: u8, bit: u8) -> bool {
+    mask & bit != 0
+}
+
+/// Advances `cycles` measured cycles through the fused kernel,
+/// maintaining exactly the channels `state` has armed. Bit-identical
+/// to [`MeasureState::run`] over equivalent sources and hook.
+pub(crate) fn run_fused<S0, S1, H>(
     chip: &mut Chip,
     state: &mut MeasureState,
     cache: &FastCache,
-    mut s0: S0,
-    mut s1: S1,
+    s0: S0,
+    s1: S1,
+    hook: &mut H,
     cycles: u64,
 ) -> SliceStats
 where
     S0: FnMut() -> CycleStimulus,
     S1: FnMut() -> CycleStimulus,
+    H: CycleHook,
 {
-    debug_assert!(fast_slice_supported(state, cycles));
+    let mut mask = 0u8;
+    if state.capture.is_some() {
+        mask |= CROSSINGS;
+    }
+    if state.window.is_some() {
+        mask |= WINDOW;
+    }
+    if state.invariants.is_some() {
+        mask |= INVARIANTS;
+    }
+    if state.run_stats {
+        mask |= RUN_STATS;
+    }
+    macro_rules! dispatch {
+        ($($m:literal)*) => {
+            match mask {
+                $($m => fused_slice::<$m, S0, S1, H>(chip, state, cache, s0, s1, hook, cycles),)*
+                _ => unreachable!("window capture always arms crossing capture"),
+            }
+        };
+    }
+    dispatch!(0 1 3 4 5 7 8 9 11 12 13 15)
+}
+
+/// The fused loop, one instantiation per channel mask `CH`.
+///
+/// Mirrors [`MeasureState::run`] + [`Chip::step_cycle`] cycle for
+/// cycle: hook → stimulus → core tick → regulator trim → PDN step →
+/// ripple → deviation → sensor → grids → crossing capture → window →
+/// invariants → hook. The loop runs up to each interval boundary and
+/// closes the interval outside the per-cycle body; window capture and
+/// the invariant checker read only the cores, so the rest of the chip
+/// stays in locals for the whole slice.
+fn fused_slice<const CH: u8, S0, S1, H>(
+    chip: &mut Chip,
+    state: &mut MeasureState,
+    cache: &FastCache,
+    mut s0: S0,
+    mut s1: S1,
+    hook: &mut H,
+    cycles: u64,
+) -> SliceStats
+where
+    S0: FnMut() -> CycleStimulus,
+    S1: FnMut() -> CycleStimulus,
+    H: CycleHook,
+{
     let droops_before = state.droops.events_at(PHASE_MARGIN_PCT);
     let counters_before = chip.core_counters();
 
@@ -262,6 +358,7 @@ where
     let rll = chip.cfg.pdn.total_series_resistance() - reg.load_line_ohms;
     let (clamp_lo, clamp_hi) = (vnom * 0.9, vnom * 1.1);
     let nominal = state.sensor.nominal();
+    let interval = state.interval_cycles;
     let period = cache.ripple.len();
     let mut phase = (chip.cycle % period as u64) as usize;
 
@@ -274,34 +371,71 @@ where
     let mut mc = state.measured_cycles;
     let mut min_dev = 0.0f64;
     let mut sum_dev = 0.0f64;
-    {
-        let (head, tail) = chip.cores.split_at_mut(1);
-        let (core0, core1) = (&mut head[0], &mut tail[0]);
-        let droops = &mut state.droops;
-        let mut capture = state.capture.as_mut();
-        for _ in 0..cycles {
-            let mut total = 0.0;
-            total += core0.tick(s0());
-            total += core1.tick(s1());
-            if has_reg {
-                i_avg += ema * (total - i_avg);
-                vs = (base + i_avg * rll).clamp(clamp_lo, clamp_hi);
+    let mut remaining = cycles;
+    while remaining > 0 {
+        let segment = remaining.min(interval - mc % interval);
+        {
+            let MeasureState {
+                sensor,
+                droops,
+                overshoots,
+                capture,
+                window,
+                invariants,
+                ..
+            } = &mut *state;
+            let cores: &mut [Core; 2] = (&mut chip.cores[..])
+                .try_into()
+                .expect("the fast cache only builds for two-core chips");
+            for _ in 0..segment {
+                let idle = hook.recovery(sensed);
+                let mut total = 0.0;
+                total += cores[0].tick(if idle { CycleStimulus::Idle } else { s0() });
+                total += cores[1].tick(if idle { CycleStimulus::Idle } else { s1() });
+                if has_reg {
+                    i_avg += ema * (total - i_avg);
+                    vs = (base + i_avg * rll).clamp(clamp_lo, clamp_hi);
+                }
+                let v = step_pdn(cache, &mut x, vs, total);
+                last_v = v;
+                sensed = v + cache.ripple[phase];
+                phase += 1;
+                if phase == period {
+                    phase = 0;
+                }
+                let dev = 100.0 * (sensed - nominal) / nominal;
+                if armed(CH, RUN_STATS) {
+                    sensor.record_deviation(dev);
+                }
+                min_dev = min_dev.min(dev);
+                sum_dev += dev;
+                droops.observe(dev);
+                if armed(CH, RUN_STATS) {
+                    overshoots.observe(dev);
+                }
+                let mut started = false;
+                if armed(CH, CROSSINGS) {
+                    if let Some(cap) = capture.as_mut() {
+                        started = cap.observe(mc, dev);
+                    }
+                }
+                if armed(CH, WINDOW) {
+                    if let Some(win) = window.as_mut() {
+                        win.on_cycle(&cores[..], mc, dev, started);
+                    }
+                }
+                if armed(CH, INVARIANTS) {
+                    if let Some(inv) = invariants.as_mut() {
+                        inv.on_cycle(&cores[..], mc, sensed, dev);
+                    }
+                }
+                hook.sensed(sensed);
+                mc += 1;
             }
-            let v = step_pdn(cache, &mut x, vs, total);
-            last_v = v;
-            sensed = v + cache.ripple[phase];
-            phase += 1;
-            if phase == period {
-                phase = 0;
-            }
-            let dev = 100.0 * (sensed - nominal) / nominal;
-            min_dev = min_dev.min(dev);
-            sum_dev += dev;
-            droops.observe(dev);
-            if let Some(cap) = capture.as_deref_mut() {
-                observe_capture(cap, mc, dev);
-            }
-            mc += 1;
+        }
+        remaining -= segment;
+        if mc.is_multiple_of(interval) {
+            state.close_interval();
         }
     }
     chip.pdn.set_state(&x);
@@ -311,53 +445,14 @@ where
     chip.last_v = last_v;
     state.last_sensed = sensed;
     state.measured_cycles = mc;
-    // The slice is interval-aligned, so exactly its final cycle lands on
-    // an interval boundary; the reference loop's per-cycle check reduces
-    // to this single push.
-    let now_events = state.droops.events_at(PHASE_MARGIN_PCT);
-    state.droops_per_interval.push(
-        (now_events - state.interval_start_events) as f64 * 1000.0 / state.interval_cycles as f64,
-    );
-    state.interval_start_events = now_events;
-
-    let core_deltas: Vec<PerfCounters> = chip
-        .core_counters()
-        .iter()
-        .zip(&counters_before)
-        .map(|(now, then)| now.delta_since(then))
-        .collect();
-    SliceStats {
+    state.finish_slice(
+        chip,
         cycles,
-        droops: state.droops.events_at(PHASE_MARGIN_PCT) - droops_before,
-        max_droop_pct: -min_dev,
-        mean_dev_pct: if cycles == 0 {
-            0.0
-        } else {
-            sum_dev / cycles as f64
-        },
-        core_deltas,
-    }
-}
-
-/// The droop-capture hysteresis, verbatim from [`MeasureState::run`].
-#[inline]
-fn observe_capture(cap: &mut DroopCapture, measured_cycle: u64, dev: f64) {
-    let depth = -dev;
-    if depth >= cap.margin_pct {
-        if cap.below {
-            if let Some(last) = cap.events.last_mut() {
-                last.depth_pct = last.depth_pct.max(depth);
-            }
-        } else {
-            cap.below = true;
-            cap.events.push(crate::session::DroopCrossing {
-                cycle: measured_cycle,
-                depth_pct: depth,
-            });
-        }
-    } else {
-        cap.below = false;
-    }
+        droops_before,
+        &counters_before,
+        min_dev,
+        sum_dev,
+    )
 }
 
 /// Closure-sourced entry points on [`ChipSession`](crate::ChipSession):
@@ -367,8 +462,12 @@ fn observe_capture(cap: &mut DroopCapture, measured_cycle: u64, dev: f64) {
 impl crate::ChipSession {
     /// Like [`begin`](crate::ChipSession::begin), but warm-up sources
     /// are closures and the warm-up runs through the fused kernel when
-    /// the chip qualifies (falling back to the reference loop when
-    /// not). Bit-identical to `begin` over equivalent sources.
+    /// the chip qualifies (the reference loop otherwise). Bit-identical
+    /// to `begin` over equivalent sources, except that the session
+    /// never maintains the channels only the final
+    /// [`RunStats`](crate::RunStats) reads — the sensor
+    /// histogram/summary and the overshoot grid. Open with `begin` when
+    /// [`finish`](crate::ChipSession::finish) must be exact.
     ///
     /// # Errors
     ///
@@ -387,33 +486,42 @@ impl crate::ChipSession {
         if interval_cycles == 0 {
             return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
         }
-        match FastCache::build(&chip) {
+        let mut session = match FastCache::build(&chip) {
             Some(cache) => {
                 let mut chip = chip;
                 chip.check_sources(2)?;
                 warm_up_fast(&mut chip, &cache, s0, s1);
                 let state = MeasureState::new(&chip, interval_cycles);
-                Ok(Self {
+                Self {
                     chip,
                     state,
-                    fast: Some(cache),
-                })
+                    fast: FastKernel::Ready(Box::new(cache)),
+                    kernel_fallback_slices: 0,
+                }
             }
             None => {
                 let mut w0 = FnSource(s0);
                 let mut w1 = FnSource(s1);
                 let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
-                Self::begin(chip, &mut sources, interval_cycles)
+                let mut session = Self::begin(chip, &mut sources, interval_cycles)?;
+                session.fast = FastKernel::Unsupported;
+                session
             }
-        }
+        };
+        session.state.run_stats = false;
+        Ok(session)
     }
 
     /// Like [`run_slice`](crate::ChipSession::run_slice), but with
-    /// closure-typed sources: interval-aligned slices on a qualifying
-    /// session run through the fused kernel, everything else falls back
-    /// to the reference loop via [`FnSource`]. Results are
-    /// bit-identical either way; see the module docs for the two
-    /// `RunStats` channels the fused kernel does not maintain.
+    /// closure-typed sources, through the fused kernel with every
+    /// armed channel — droop crossings, waveform windows, the invariant
+    /// checker and, on sessions opened with `begin`, the
+    /// `RunStats`-only channels. Slices
+    /// of any length qualify. Only a chip whose shape the kernel is
+    /// not specialized for runs the reference loop (via [`FnSource`]);
+    /// such slices are counted in
+    /// [`kernel_fallback_slices`](crate::ChipSession::kernel_fallback_slices).
+    /// Results are bit-identical either way.
     ///
     /// # Errors
     ///
@@ -430,17 +538,15 @@ impl crate::ChipSession {
         S1: FnMut() -> CycleStimulus + Send,
     {
         self.chip.check_sources(2)?;
-        if fast_slice_supported(&self.state, cycles) {
-            if self.fast.is_none() {
-                self.fast = FastCache::build(&self.chip);
-            }
-            // Disjoint field borrows: the cache is read-only while chip
-            // and measurement state advance.
-            let Self { chip, state, fast } = self;
-            if let Some(cache) = fast.as_ref() {
-                return Ok(run_slice_fast(chip, state, cache, s0, s1, cycles));
-            }
+        // Disjoint field borrows: the cache is read-only while chip
+        // and measurement state advance.
+        let Self {
+            chip, state, fast, ..
+        } = self;
+        if let Some(cache) = fast.resolve(chip) {
+            return Ok(run_fused(chip, state, cache, s0, s1, &mut NoHook, cycles));
         }
+        self.kernel_fallback_slices += 1;
         let mut w0 = FnSource(s0);
         let mut w1 = FnSource(s1);
         let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
@@ -452,8 +558,12 @@ impl crate::ChipSession {
 mod tests {
     use super::*;
     use crate::chip::ChipConfig;
-    use crate::ChipSession;
-    use vsmooth_pdn::DecapConfig;
+    use crate::window::WindowConfig;
+    use crate::{
+        ChipSession, DroopCrossing, DroopWindow, InvariantConfig, InvariantReport,
+        InvariantViolation,
+    };
+    use vsmooth_pdn::{DecapConfig, VrmRipple};
     use vsmooth_uarch::IdleLoop;
     use vsmooth_workload::by_name;
 
@@ -510,101 +620,223 @@ mod tests {
         assert_chip_state_eq(reference.chip(), fast.chip());
     }
 
+    /// Which channels one identity run arms.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Arm {
+        Plain,
+        Crossings,
+        /// Window capture with the given post-trigger tail.
+        Window(usize),
+        /// The invariant checker; `true` arms the impossible 0% band.
+        Invariants(bool),
+        RunStats,
+        Everything,
+    }
+
+    impl Arm {
+        fn apply(self, session: &mut ChipSession) {
+            let window = |post_cycles| WindowConfig {
+                pre_cycles: 64,
+                post_cycles,
+                capture_currents: true,
+            };
+            match self {
+                Arm::Plain => {}
+                Arm::Crossings => session.capture_droops(2.5),
+                Arm::Window(post) => session.enable_profiling(2.5, window(post)),
+                Arm::Invariants(impossible) => session.enable_invariants(invariant_cfg(impossible)),
+                // Run stats come with opening through `begin`.
+                Arm::RunStats => {}
+                Arm::Everything => {
+                    session.enable_profiling(2.5, window(3_000));
+                    session.enable_invariants(invariant_cfg(false));
+                }
+            }
+        }
+
+        fn run_stats(self) -> bool {
+            matches!(self, Arm::RunStats | Arm::Everything)
+        }
+    }
+
+    fn invariant_cfg(impossible: bool) -> InvariantConfig {
+        if impossible {
+            InvariantConfig {
+                voltage_band_pct: 0.0,
+                max_violations: 8,
+                ..InvariantConfig::default()
+            }
+        } else {
+            InvariantConfig::default()
+        }
+    }
+
+    /// Everything a session exposes over one identity run.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        stats: Vec<SliceStats>,
+        crossings: Vec<DroopCrossing>,
+        windows: Vec<DroopWindow>,
+        reports: Vec<Option<InvariantReport>>,
+        violations: Vec<InvariantViolation>,
+        measured: u64,
+    }
+
+    const INTERVAL: u64 = 2_000;
+
+    /// Drains every channel after each slice, flushes the windows at
+    /// the end, and runs one further *reference* slice so any hidden
+    /// state divergence surfaces in its stats.
+    fn observe(
+        mut session: ChipSession,
+        mut step: impl FnMut(&mut ChipSession, u64) -> SliceStats,
+        lengths: &[u64],
+    ) -> (Observed, ChipSession) {
+        let mut obs = Observed {
+            stats: Vec::new(),
+            crossings: Vec::new(),
+            windows: Vec::new(),
+            reports: Vec::new(),
+            violations: Vec::new(),
+            measured: 0,
+        };
+        for &cycles in lengths {
+            obs.stats.push(step(&mut session, cycles));
+            obs.crossings.extend(session.take_droop_crossings());
+            obs.windows.extend(session.take_droop_windows());
+            obs.reports.push(session.invariant_report());
+            obs.violations.extend(session.take_invariant_violations());
+        }
+        obs.windows.extend(session.flush_droop_windows());
+        let mut a0 = IdleLoop::new(11);
+        let mut a1 = IdleLoop::new(12);
+        let mut tail: Vec<&mut dyn StimulusSource> = vec![&mut a0, &mut a1];
+        obs.stats
+            .push(session.run_slice(&mut tail, INTERVAL).unwrap());
+        obs.measured = session.measured_cycles();
+        (obs, session)
+    }
+
     /// Drives the same seeded workload/idle pair through the reference
-    /// slice loop and the fused kernel and asserts every observable is
-    /// bit-identical: slice stats, droop crossings, and the full chip
-    /// electrical state (checked by running a further *reference* slice
-    /// on both sessions and comparing again).
+    /// slice loop and the fused kernel under every channel combination
+    /// and asserts every observable is bit-identical: slice stats, droop
+    /// crossings, waveform windows (flushed and truncated ones
+    /// included), invariant reports and violations, the final
+    /// `RunStats` and the full chip electrical state.
     #[test]
     fn fast_slices_match_reference_slices_bits() {
         let w = by_name("482.sphinx3").unwrap();
-        let slice = 2_000u64;
-        let slices = 12;
+        let aligned = [INTERVAL; 12];
+        // Unaligned lengths straddle interval boundaries both ways.
+        let ragged = [1_500, 2_000, 700, 3_800, 2_000, 1, 4_000, 999];
 
-        let run_reference = |capture: bool| {
-            let mut s = w.stream(7, slice);
+        let run_reference = |arm: Arm, lengths: &[u64]| {
+            let mut s = w.stream(7, INTERVAL);
             s.set_looping(true);
             let mut idle = IdleLoop::new(3);
             let mut i0 = IdleLoop::new(0);
             let mut i1 = IdleLoop::new(1);
             let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut i0, &mut i1];
-            let mut session = ChipSession::begin(chip(), &mut warm, slice).unwrap();
-            if capture {
-                session.capture_droops(2.5);
-            }
-            let mut stats = Vec::new();
-            let mut crossings = Vec::new();
-            for _ in 0..slices {
+            let mut session = ChipSession::begin(chip(), &mut warm, INTERVAL).unwrap();
+            arm.apply(&mut session);
+            let step = |session: &mut ChipSession, cycles| {
                 let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
-                stats.push(session.run_slice(&mut sources, slice).unwrap());
-                crossings.extend(session.take_droop_crossings());
-            }
-            (session, stats, crossings)
+                session.run_slice(&mut sources, cycles).unwrap()
+            };
+            observe(session, step, lengths)
         };
-        let run_fast = |capture: bool| {
-            let mut s = w.stream(7, slice);
+        let run_fast = |arm: Arm, lengths: &[u64]| {
+            let mut s = w.stream(7, INTERVAL);
             s.set_looping(true);
             let mut idle = IdleLoop::new(3);
             let mut i0 = IdleLoop::new(0);
             let mut i1 = IdleLoop::new(1);
-            let mut session = ChipSession::begin_fast(
-                chip(),
-                || StimulusSource::next(&mut i0),
-                || StimulusSource::next(&mut i1),
-                slice,
-            )
-            .unwrap();
-            if capture {
-                session.capture_droops(2.5);
-            }
-            let mut stats = Vec::new();
-            let mut crossings = Vec::new();
-            for _ in 0..slices {
-                // Hoist the mix exactly the way the serving shard does.
-                let mix = s.current_prepared();
-                stats.push(
+            let mut session = if arm.run_stats() {
+                let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut i0, &mut i1];
+                ChipSession::begin(chip(), &mut warm, INTERVAL).unwrap()
+            } else {
+                ChipSession::begin_fast(
+                    chip(),
+                    || StimulusSource::next(&mut i0),
+                    || StimulusSource::next(&mut i1),
+                    INTERVAL,
+                )
+                .unwrap()
+            };
+            arm.apply(&mut session);
+            let step = |session: &mut ChipSession, cycles| {
+                if lengths == &aligned[..] {
+                    // Hoist the mix exactly the way the serving shard
+                    // does (valid for whole aligned intervals only).
+                    let mix = s.current_prepared();
                     session
                         .run_slice_fast(
                             || s.step_prepared(&mix),
                             || StimulusSource::next(&mut idle),
-                            slice,
+                            cycles,
                         )
-                        .unwrap(),
-                );
-                crossings.extend(session.take_droop_crossings());
-            }
-            (session, stats, crossings)
+                        .unwrap()
+                } else {
+                    session
+                        .run_slice_fast(
+                            || StimulusSource::next(&mut s),
+                            || StimulusSource::next(&mut idle),
+                            cycles,
+                        )
+                        .unwrap()
+                }
+            };
+            observe(session, step, lengths)
         };
 
-        for capture in [false, true] {
-            let (mut ref_session, ref_stats, ref_crossings) = run_reference(capture);
-            let (mut fast_session, fast_stats, fast_crossings) = run_fast(capture);
-            assert_eq!(ref_stats, fast_stats, "slice stats diverged");
-            assert_eq!(ref_crossings, fast_crossings, "crossings diverged");
-            if capture {
-                assert!(!ref_crossings.is_empty(), "scenario needs droops");
+        let arms = [
+            Arm::Plain,
+            Arm::Crossings,
+            Arm::Window(80),
+            Arm::Window(3_000),
+            Arm::Invariants(false),
+            Arm::Invariants(true),
+            Arm::RunStats,
+            Arm::Everything,
+        ];
+        for lengths in [&aligned[..], &ragged[..]] {
+            for arm in arms {
+                let (reference, ref_session) = run_reference(arm, lengths);
+                let (fast, fast_session) = run_fast(arm, lengths);
+                assert_eq!(reference, fast, "{arm:?} over {lengths:?} diverged");
+                assert_eq!(fast_session.kernel_fallback_slices(), 0);
+                assert_chip_state_eq(ref_session.chip(), fast_session.chip());
+                let (ref_stats, fast_stats) = (ref_session.finish(), fast_session.finish());
+                if arm.run_stats() {
+                    assert_eq!(ref_stats, fast_stats, "{arm:?}: RunStats diverged");
+                } else {
+                    assert_eq!(ref_stats.cycles, fast_stats.cycles);
+                    assert_eq!(ref_stats.droops, fast_stats.droops);
+                    assert_eq!(
+                        ref_stats.droops_per_interval,
+                        fast_stats.droops_per_interval
+                    );
+                    assert_eq!(ref_stats.core_counters, fast_stats.core_counters);
+                }
+                // The scenario must exercise what it claims to.
+                match arm {
+                    Arm::Crossings => assert!(!reference.crossings.is_empty()),
+                    Arm::Window(3_000) => {
+                        assert!(reference.windows.iter().any(|w| w.truncated));
+                        assert!(reference.windows.iter().any(|w| !w.truncated));
+                    }
+                    Arm::Window(_) => assert!(!reference.windows.is_empty()),
+                    Arm::Invariants(true) => assert!(!reference.violations.is_empty()),
+                    Arm::Invariants(false) => assert!(reference.violations.is_empty()),
+                    _ => {}
+                }
             }
-            assert_eq!(
-                ref_session.measured_cycles(),
-                fast_session.measured_cycles()
-            );
-            assert_chip_state_eq(ref_session.chip(), fast_session.chip());
-            // One further reference slice on both sessions: any hidden
-            // state divergence would surface here.
-            let mut a0 = IdleLoop::new(11);
-            let mut a1 = IdleLoop::new(12);
-            let mut b0 = IdleLoop::new(11);
-            let mut b1 = IdleLoop::new(12);
-            let mut sa: Vec<&mut dyn StimulusSource> = vec![&mut a0, &mut a1];
-            let mut sb: Vec<&mut dyn StimulusSource> = vec![&mut b0, &mut b1];
-            let tail_ref = ref_session.run_slice(&mut sa, slice).unwrap();
-            let tail_fast = fast_session.run_slice(&mut sb, slice).unwrap();
-            assert_eq!(tail_ref, tail_fast, "post-slice reference runs diverged");
         }
     }
 
     #[test]
-    fn unaligned_or_windowed_slices_fall_back_to_reference() {
+    fn only_unsupported_chip_shapes_fall_back_to_reference() {
+        // Unaligned and windowed slices run fused on the platform chip…
         let mut i0 = IdleLoop::new(0);
         let mut i1 = IdleLoop::new(1);
         let mut session = ChipSession::begin_fast(
@@ -614,30 +846,45 @@ mod tests {
             2_000,
         )
         .unwrap();
-        // A half-interval slice cannot use the fused kernel…
-        assert!(!fast_slice_supported(&session.state, 1_000));
+        session.enable_profiling(2.5, WindowConfig::default());
+        session.enable_invariants(InvariantConfig::default());
         let mut a = IdleLoop::new(2);
         let mut b = IdleLoop::new(3);
-        let s = session
-            .run_slice_fast(
+        for cycles in [1_000, 2_000, 3_000] {
+            let s = session
+                .run_slice_fast(
+                    || StimulusSource::next(&mut a),
+                    || StimulusSource::next(&mut b),
+                    cycles,
+                )
+                .unwrap();
+            assert_eq!(s.cycles, cycles);
+        }
+        assert_eq!(session.kernel_fallback_slices(), 0);
+        assert!(matches!(session.fast, FastKernel::Ready(_)));
+
+        // …while a two-core chip whose ripple period is too long to
+        // tabulate runs the reference loop, every slice counted, and
+        // the verdict is resolved once rather than rebuilt per slice.
+        let mut cfg = ChipConfig::core2_duo(DecapConfig::proc100());
+        cfg.ripple = VrmRipple::new(cfg.ripple.amplitude(), MAX_RIPPLE_TABLE + 1);
+        assert!(FastCache::build(&Chip::new(cfg.clone()).unwrap()).is_none());
+        let mut w0 = IdleLoop::new(4);
+        let mut w1 = IdleLoop::new(5);
+        let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
+        let mut odd = ChipSession::begin(Chip::new(cfg).unwrap(), &mut warm, 2_000).unwrap();
+        assert!(matches!(odd.fast, FastKernel::Untried));
+        for _ in 0..3 {
+            odd.run_slice_fast(
                 || StimulusSource::next(&mut a),
                 || StimulusSource::next(&mut b),
-                1_000,
+                2_000,
             )
             .unwrap();
-        assert_eq!(s.cycles, 1_000);
-        // …and the session is now unaligned, so full-interval slices
-        // fall back too until the boundary is restored.
-        assert!(!fast_slice_supported(&session.state, 2_000));
-        // Windows force the reference loop outright.
-        let mut windowed = {
-            let mut w0 = IdleLoop::new(4);
-            let mut w1 = IdleLoop::new(5);
-            let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
-            ChipSession::begin(chip(), &mut warm, 2_000).unwrap()
-        };
-        windowed.enable_profiling(2.5, crate::window::WindowConfig::default());
-        assert!(!fast_slice_supported(&windowed.state, 2_000));
+            assert!(matches!(odd.fast, FastKernel::Unsupported));
+        }
+        assert_eq!(odd.kernel_fallback_slices(), 3);
+        assert_eq!(odd.measured_cycles(), 6_000);
     }
 
     fn assert_chip_state_eq(a: &Chip, b: &Chip) {
@@ -651,8 +898,8 @@ mod tests {
         assert_eq!(a.core_counters(), b.core_counters(), "counters diverged");
         for core in 0..2 {
             assert_eq!(
-                a.core_current(core).to_bits(),
-                b.core_current(core).to_bits(),
+                a.cores()[core].current().to_bits(),
+                b.cores()[core].current().to_bits(),
                 "core {core} current diverged"
             );
         }

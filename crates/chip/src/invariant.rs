@@ -6,9 +6,10 @@
 //! clock only moves forward, and the aggregate bookkeeping (droop
 //! grids, per-interval rates, per-slice counter deltas) must agree
 //! with an *independently maintained* shadow count. The checker plugs
-//! into [`ChipSession`](crate::ChipSession) behind the same
-//! `Option`-gated hook as droop capture and window profiling — a
-//! disarmed session pays one untaken branch per cycle, nothing more.
+//! into [`ChipSession`](crate::ChipSession) like droop capture and
+//! window profiling: a channel of the fused kernel's monomorphized
+//! mask, so a disarmed session runs a loop without it (one untaken
+//! `Option` branch per cycle on the reference loop).
 //!
 //! Checked invariants (see `DESIGN.md` §10 for tolerances):
 //!
@@ -33,7 +34,7 @@
 use crate::chip::Chip;
 use crate::sense::CrossingGrid;
 use crate::stats::PHASE_MARGIN_PCT;
-use vsmooth_uarch::{PerfCounters, StallEvent};
+use vsmooth_uarch::{Core, PerfCounters, StallEvent};
 
 /// Configuration for the invariant checker.
 #[derive(Debug, Clone)]
@@ -98,7 +99,7 @@ impl InvariantKind {
 }
 
 /// One recorded invariant violation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvariantViolation {
     /// Session-absolute measured cycle at which the violation was
     /// detected (slice-level checks report the slice's last cycle).
@@ -110,7 +111,7 @@ pub struct InvariantViolation {
 }
 
 /// Snapshot of the checker's coverage and findings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvariantReport {
     /// Cycles checked since arming.
     pub cycles_checked: u64,
@@ -187,8 +188,10 @@ impl InvariantState {
     }
 
     /// Per-cycle checks: voltage physics, current sign, clock
-    /// monotonicity, and the shadow droop counter.
-    pub(crate) fn on_cycle(&mut self, chip: &Chip, cycle: u64, v: f64, dev_pct: f64) {
+    /// monotonicity, and the shadow droop counter. Like
+    /// [`WindowCapture::on_cycle`](crate::window::WindowCapture), it
+    /// reads only the cores, so the fused kernel can call it mid-cycle.
+    pub(crate) fn on_cycle(&mut self, cores: &[Core], cycle: u64, v: f64, dev_pct: f64) {
         self.cycles_checked += 1;
         if !v.is_finite() {
             self.record(
@@ -206,8 +209,8 @@ impl InvariantState {
                 ),
             );
         }
-        for core in 0..chip.core_count() {
-            let i = chip.core_current(core);
+        for (core, c) in cores.iter().enumerate() {
+            let i = c.current();
             if !i.is_finite() || i < 0.0 {
                 self.record(
                     cycle,
@@ -244,7 +247,7 @@ impl InvariantState {
     /// the shadow-vs-grid droop-count cross-check.
     pub(crate) fn on_slice(
         &mut self,
-        chip: &Chip,
+        cores: &[Core],
         slice_cycles: u64,
         core_deltas: &[PerfCounters],
         grid: &CrossingGrid,
@@ -299,7 +302,7 @@ impl InvariantState {
         for (m, d) in self.merged_deltas.iter_mut().zip(core_deltas) {
             m.merge(d);
         }
-        let now = chip.core_counters();
+        let now: Vec<PerfCounters> = cores.iter().map(|c| *c.counters()).collect();
         let mut mismatches = Vec::new();
         for (core, ((merged, base), current)) in self
             .merged_deltas

@@ -11,6 +11,7 @@
 //! methodology inside this reproduction.
 
 use crate::chip::Chip;
+use crate::session::CycleHook;
 use crate::stats::RunStats;
 use crate::ChipError;
 use serde::{Deserialize, Serialize};
@@ -76,59 +77,78 @@ impl Chip {
         if margin_pct <= 0.0 || !margin_pct.is_finite() {
             return Err(ChipError::InvalidConfig("margin must be positive"));
         }
-        let threshold = self.nominal_voltage() * (1.0 - margin_pct / 100.0);
-        let mut emergencies = 0u64;
-        let mut recovery_cycles = 0u64;
-        let mut recovering: u64 = 0;
-        // After a rollback the clocks ramp back up and the current surge
-        // of re-execution would immediately re-trip a naive detector
-        // (a recovery storm). Real resilient designs mask the detector
-        // through the post-recovery ramp; so does this one.
-        const POST_RECOVERY_GRACE: u64 = 200;
-        let mut grace: u64 = 0;
-        let mut below = false;
-        let stats = self.run_with_hook(sources, cycles, interval_cycles, &mut |v| {
-            if recovering > 0 {
-                recovering -= 1;
-                recovery_cycles += 1;
-                if recovering == 0 {
-                    grace = POST_RECOVERY_GRACE;
-                }
-                return CycleControl::Recovery;
-            }
-            if grace > 0 {
-                grace -= 1;
-                below = v < threshold;
-                return CycleControl::Normal;
-            }
-            if v < threshold {
-                if !below {
-                    below = true;
-                    emergencies += 1;
-                    recovering = recovery_cost;
-                }
-            } else {
-                below = false;
-            }
-            CycleControl::Normal
-        })?;
+        let mut detector = RecoveryDetector::new(self, margin_pct, recovery_cost);
+        let state = self.measure_dyn(sources, cycles, interval_cycles, |_, _| {}, &mut detector)?;
         Ok(ResilientRunStats {
-            stats,
+            stats: state.into_stats(self),
             margin_pct,
             recovery_cost,
-            emergencies,
-            recovery_cycles,
+            emergencies: detector.emergencies,
+            recovery_cycles: detector.recovery_cycles,
         })
     }
 }
 
-/// Per-cycle control decision from the resilience hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CycleControl {
-    /// Execute the program normally.
-    Normal,
-    /// Rollback in progress: the program is paused and cores idle.
-    Recovery,
+/// After a rollback the clocks ramp back up and the current surge of
+/// re-execution would immediately re-trip a naive detector (a recovery
+/// storm). Real resilient designs mask the detector through the
+/// post-recovery ramp; so does this one.
+const POST_RECOVERY_GRACE: u64 = 200;
+
+/// The live emergency detector of a resilient run: fires a rollback on
+/// every downward crossing of the aggressive margin and holds the
+/// program paused for the recovery penalty.
+struct RecoveryDetector {
+    threshold: f64,
+    recovery_cost: u64,
+    emergencies: u64,
+    recovery_cycles: u64,
+    recovering: u64,
+    grace: u64,
+    below: bool,
+}
+
+impl RecoveryDetector {
+    fn new(chip: &Chip, margin_pct: f64, recovery_cost: u64) -> Self {
+        Self {
+            threshold: chip.nominal_voltage() * (1.0 - margin_pct / 100.0),
+            recovery_cost,
+            emergencies: 0,
+            recovery_cycles: 0,
+            recovering: 0,
+            grace: 0,
+            below: false,
+        }
+    }
+}
+
+impl CycleHook for RecoveryDetector {
+    #[inline]
+    fn recovery(&mut self, last_sensed: f64) -> bool {
+        if self.recovering > 0 {
+            self.recovering -= 1;
+            self.recovery_cycles += 1;
+            if self.recovering == 0 {
+                self.grace = POST_RECOVERY_GRACE;
+            }
+            return true;
+        }
+        if self.grace > 0 {
+            self.grace -= 1;
+            self.below = last_sensed < self.threshold;
+            return false;
+        }
+        if last_sensed < self.threshold {
+            if !self.below {
+                self.below = true;
+                self.emergencies += 1;
+                self.recovering = self.recovery_cost;
+            }
+        } else {
+            self.below = false;
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -217,6 +237,38 @@ mod tests {
             live.recovery_overhead(),
             analytic_overhead
         );
+    }
+
+    #[test]
+    fn resilient_runs_match_the_reference_loop_bits() {
+        let cfg = ChipConfig::core2_duo(DecapConfig::proc3());
+        let w = by_name("482.sphinx3").unwrap();
+        let (margin, cost) = (PHASE_MARGIN_PCT, 100);
+        let run = |reference: bool| {
+            let mut chip = Chip::new(cfg.clone()).unwrap();
+            let mut stream = w.stream(0, 4_000);
+            let mut idle = vsmooth_uarch::IdleLoop::default();
+            let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut stream, &mut idle];
+            if !reference {
+                return chip
+                    .run_resilient(&mut sources, 60_000, 4_000, margin, cost)
+                    .unwrap();
+            }
+            let mut detector = RecoveryDetector::new(&chip, margin, cost);
+            let state = chip
+                .measure_reference(&mut sources, 60_000, 4_000, |_, _| {}, &mut detector)
+                .unwrap();
+            ResilientRunStats {
+                stats: state.into_stats(&chip),
+                margin_pct: margin,
+                recovery_cost: cost,
+                emergencies: detector.emergencies,
+                recovery_cycles: detector.recovery_cycles,
+            }
+        };
+        let reference = run(true);
+        assert!(reference.emergencies > 0, "the run must exercise recovery");
+        assert_eq!(run(false), reference);
     }
 
     #[test]

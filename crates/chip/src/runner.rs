@@ -4,7 +4,7 @@
 use crate::batch::ChipBatch;
 use crate::chip::{Chip, ChipConfig};
 use crate::fidelity::Fidelity;
-use crate::session::DroopCrossing;
+use crate::session::{DroopCrossing, MeasureState, NoHook};
 use crate::stats::RunStats;
 use crate::window::{DroopWindow, WindowConfig};
 use crate::ChipError;
@@ -70,6 +70,49 @@ enum Instrument {
     Profiled(f64, WindowConfig),
 }
 
+impl Instrument {
+    /// Switches on the capture channels this instrument needs.
+    fn arm(self, state: &mut MeasureState, chip: &Chip) {
+        match self {
+            Instrument::Plain => {}
+            Instrument::Logged(margin) => state.enable_droop_capture(margin),
+            Instrument::Profiled(margin, window) => {
+                state.enable_window_capture(chip, margin, window);
+            }
+        }
+    }
+}
+
+type Outputs = (RunStats, Vec<DroopCrossing>, Vec<DroopWindow>);
+
+/// Measures a two-core run with concretely typed sources, so the
+/// fused kernel inlines their stepping (no `&mut dyn` per cycle).
+fn run_two<A: StimulusSource, B: StimulusSource>(
+    chip: &mut Chip,
+    a: &mut A,
+    b: &mut B,
+    total: u64,
+    cpi: u64,
+    instrument: Instrument,
+) -> Result<Outputs, ChipError> {
+    let arm = |state: &mut MeasureState, chip: &Chip| instrument.arm(state, chip);
+    let state = chip.measure(|| a.next(), || b.next(), total, cpi, arm, &mut NoHook)?;
+    Ok(state.into_outputs(chip))
+}
+
+/// Measures a run on a chip of any core count.
+fn run_any(
+    chip: &mut Chip,
+    sources: &mut [&mut dyn StimulusSource],
+    total: u64,
+    cpi: u64,
+    instrument: Instrument,
+) -> Result<Outputs, ChipError> {
+    let arm = |state: &mut MeasureState, chip: &Chip| instrument.arm(state, chip);
+    let state = chip.measure_dyn(sources, total, cpi, arm, &mut NoHook)?;
+    Ok(state.into_outputs(chip))
+}
+
 /// Runs one workload to completion on the chip.
 ///
 /// Single-threaded workloads occupy core 0 while the other cores idle;
@@ -129,22 +172,32 @@ fn run_workload_inner(
     workload: &Workload,
     fidelity: Fidelity,
     instrument: Instrument,
-) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
+) -> Result<Outputs, ChipError> {
     fidelity.validate()?;
     let cpi = fidelity.cycles_per_interval();
     let total = u64::from(workload.total_intervals()) * cpi;
     let num_cores = cfg.chip_config().num_cores;
     let mut chip = cfg.build_chip()?;
-    match workload.threading() {
-        Threading::Single => {
+    match (workload.threading(), num_cores) {
+        (Threading::Single, 2) => {
+            let mut stream = workload.stream(0, cpi);
+            let mut idle = IdleLoop::default();
+            run_two(&mut chip, &mut stream, &mut idle, total, cpi, instrument)
+        }
+        (Threading::Multi, 2) => {
+            let mut s0 = workload.stream(0, cpi);
+            let mut s1 = workload.stream(1, cpi);
+            run_two(&mut chip, &mut s0, &mut s1, total, cpi, instrument)
+        }
+        (Threading::Single, _) => {
             let mut stream = workload.stream(0, cpi);
             let mut idles: Vec<IdleLoop> = (1..num_cores).map(|_| IdleLoop::default()).collect();
             let mut sources: Vec<&mut dyn StimulusSource> = Vec::with_capacity(num_cores);
             sources.push(&mut stream);
             sources.extend(idles.iter_mut().map(|i| i as &mut dyn StimulusSource));
-            run_instrumented(&mut chip, &mut sources, total, cpi, instrument)
+            run_any(&mut chip, &mut sources, total, cpi, instrument)
         }
-        Threading::Multi => {
+        (Threading::Multi, _) => {
             let mut streams: Vec<_> = (0..num_cores as u64)
                 .map(|i| workload.stream(i, cpi))
                 .collect();
@@ -152,27 +205,7 @@ fn run_workload_inner(
                 .iter_mut()
                 .map(|s| s as &mut dyn StimulusSource)
                 .collect();
-            run_instrumented(&mut chip, &mut sources, total, cpi, instrument)
-        }
-    }
-}
-
-fn run_instrumented(
-    chip: &mut Chip,
-    sources: &mut [&mut dyn StimulusSource],
-    total: u64,
-    cpi: u64,
-    instrument: Instrument,
-) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
-    match instrument {
-        Instrument::Plain => chip
-            .run(sources, total, cpi)
-            .map(|s| (s, Vec::new(), Vec::new())),
-        Instrument::Logged(margin) => chip
-            .run_with_droop_log(sources, total, cpi, margin)
-            .map(|(s, c)| (s, c, Vec::new())),
-        Instrument::Profiled(margin, window) => {
-            chip.run_with_droop_windows(sources, total, cpi, margin, window)
+            run_any(&mut chip, &mut sources, total, cpi, instrument)
         }
     }
 }
@@ -241,7 +274,7 @@ fn run_pair_inner(
     b: &Workload,
     fidelity: Fidelity,
     instrument: Instrument,
-) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
+) -> Result<Outputs, ChipError> {
     if cfg.chip_config().num_cores != 2 {
         return Err(ChipError::InvalidConfig(
             "pair runs require a two-core chip",
@@ -258,8 +291,7 @@ fn run_pair_inner(
     let mut sb = b.stream(1, cpi);
     sa.set_looping(true);
     sb.set_looping(true);
-    let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut sa, &mut sb];
-    run_instrumented(&mut chip, &mut sources, total, cpi, instrument)
+    run_two(&mut chip, &mut sa, &mut sb, total, cpi, instrument)
 }
 
 /// Duration (in intervals) of a pair run: the longer program's length.
@@ -396,6 +428,108 @@ mod tests {
             run_pair_logged(&cfg(), &w, &b, f, 2.5).unwrap(),
             run_pair_logged(&batch, &w, &b, f, 2.5).unwrap()
         );
+    }
+
+    /// The one-shot runs exactly as they ran before the fused kernel:
+    /// warm-up, arm and measure on the reference loop.
+    fn reference(
+        cfg: &ChipConfig,
+        sources: &mut [&mut dyn StimulusSource],
+        total: u64,
+        cpi: u64,
+        instrument: Instrument,
+    ) -> Outputs {
+        let mut chip = Chip::new(cfg.clone()).unwrap();
+        let arm = |state: &mut MeasureState, chip: &Chip| instrument.arm(state, chip);
+        let state = chip
+            .measure_reference(sources, total, cpi, arm, &mut NoHook)
+            .unwrap();
+        state.into_outputs(&chip)
+    }
+
+    #[test]
+    fn runner_entry_points_match_the_reference_loop_bits() {
+        let f = Fidelity::Custom(1_000);
+        let cpi = f.cycles_per_interval();
+        let sphinx = by_name("482.sphinx3").unwrap();
+        let canneal = by_name("canneal").unwrap();
+        let mcf = by_name("429.mcf").unwrap();
+        let window = WindowConfig {
+            pre_cycles: 48,
+            post_cycles: 400,
+            capture_currents: true,
+        };
+        for cfg in [
+            ChipConfig::core2_duo(DecapConfig::proc100()),
+            ChipConfig::core2_duo(DecapConfig::proc3()),
+        ] {
+            for instrument in [
+                Instrument::Plain,
+                Instrument::Logged(2.5),
+                Instrument::Profiled(2.5, window),
+            ] {
+                // Single-threaded: the program on core 0, idle core 1.
+                let total = u64::from(sphinx.total_intervals()) * cpi;
+                let mut stream = sphinx.stream(0, cpi);
+                let mut idle = IdleLoop::default();
+                let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut stream, &mut idle];
+                let single = reference(&cfg, &mut sources, total, cpi, instrument);
+                // Multi-threaded: one instance per core.
+                let total = u64::from(canneal.total_intervals()) * cpi;
+                let mut s0 = canneal.stream(0, cpi);
+                let mut s1 = canneal.stream(1, cpi);
+                let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s0, &mut s1];
+                let multi = reference(&cfg, &mut sources, total, cpi, instrument);
+                // Pair: both programs looping until the longer ends.
+                let total = u64::from(workload_pair_intervals(&sphinx, &mcf)) * cpi;
+                let mut sa = sphinx.stream(0, cpi);
+                let mut sb = mcf.stream(1, cpi);
+                sa.set_looping(true);
+                sb.set_looping(true);
+                let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut sa, &mut sb];
+                let pair = reference(&cfg, &mut sources, total, cpi, instrument);
+
+                match instrument {
+                    Instrument::Plain => {
+                        assert_eq!(run_workload(&cfg, &sphinx, f).unwrap(), single.0);
+                        assert_eq!(run_workload(&cfg, &canneal, f).unwrap(), multi.0);
+                        assert_eq!(run_pair(&cfg, &sphinx, &mcf, f).unwrap(), pair.0);
+                    }
+                    Instrument::Logged(m) => {
+                        let logged = |o: Outputs| (o.0, o.1);
+                        assert_eq!(
+                            run_workload_logged(&cfg, &sphinx, f, m).unwrap(),
+                            logged(single)
+                        );
+                        assert_eq!(
+                            run_workload_logged(&cfg, &canneal, f, m).unwrap(),
+                            logged(multi)
+                        );
+                        let (stats, crossings) = logged(pair);
+                        assert!(!crossings.is_empty(), "the pair must droop past 2.5%");
+                        assert_eq!(
+                            run_pair_logged(&cfg, &sphinx, &mcf, f, m).unwrap(),
+                            (stats, crossings)
+                        );
+                    }
+                    Instrument::Profiled(m, w) => {
+                        assert_eq!(
+                            run_workload_profiled(&cfg, &sphinx, f, m, w).unwrap(),
+                            single
+                        );
+                        assert_eq!(
+                            run_workload_profiled(&cfg, &canneal, f, m, w).unwrap(),
+                            multi
+                        );
+                        assert!(!pair.2.is_empty(), "the pair must freeze windows");
+                        assert_eq!(
+                            run_pair_profiled(&cfg, &sphinx, &mcf, f, m, w).unwrap(),
+                            pair
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

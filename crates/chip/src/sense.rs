@@ -163,9 +163,17 @@ impl VoltageSensor {
     /// deviation from nominal.
     pub fn record(&mut self, volts: f64) -> f64 {
         let dev = 100.0 * (volts - self.nominal) / self.nominal;
-        self.histogram.record(dev);
-        self.summary.record(dev);
+        self.record_deviation(dev);
         dev
+    }
+
+    /// Records one sample already expressed as percent deviation from
+    /// nominal — the fused kernel computes the deviation once and
+    /// shares it across every channel.
+    #[inline]
+    pub(crate) fn record_deviation(&mut self, dev_pct: f64) {
+        self.histogram.record(dev_pct);
+        self.summary.record(dev_pct);
     }
 
     /// The percent-deviation histogram.

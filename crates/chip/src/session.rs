@@ -13,8 +13,8 @@
 //! produces over the same cycles.
 
 use crate::chip::Chip;
+use crate::fastpath::FastKernel;
 use crate::invariant::{InvariantConfig, InvariantReport, InvariantState, InvariantViolation};
-use crate::resilient::CycleControl;
 use crate::sense::{CrossingGrid, VoltageSensor};
 use crate::stats::{RunStats, PHASE_MARGIN_PCT};
 use crate::window::{DroopWindow, WindowCapture, WindowConfig};
@@ -46,6 +46,73 @@ pub(crate) struct DroopCapture {
     pub(crate) events: Vec<DroopCrossing>,
 }
 
+impl DroopCapture {
+    /// Feeds one measured cycle's deviation through the hysteresis;
+    /// returns whether a new crossing started on this cycle.
+    #[inline]
+    pub(crate) fn observe(&mut self, measured_cycle: u64, dev_pct: f64) -> bool {
+        let depth = -dev_pct;
+        if depth >= self.margin_pct {
+            if self.below {
+                // Still inside the same event: track its floor.
+                if let Some(last) = self.events.last_mut() {
+                    last.depth_pct = last.depth_pct.max(depth);
+                }
+                false
+            } else {
+                self.below = true;
+                self.events.push(DroopCrossing {
+                    cycle: measured_cycle,
+                    depth_pct: depth,
+                });
+                true
+            }
+        } else {
+            self.below = false;
+            false
+        }
+    }
+}
+
+/// Per-cycle callbacks a one-shot run threads through the measurement
+/// loop (either kernel). The defaults do nothing and compile away, so
+/// hook-free runs pay nothing for the parameter.
+pub(crate) trait CycleHook {
+    /// Consulted before every measured cycle with the previously
+    /// sensed voltage; `true` makes the cycle a rollback: sources are
+    /// not advanced and every core idles.
+    #[inline]
+    fn recovery(&mut self, _last_sensed: f64) -> bool {
+        false
+    }
+
+    /// Sees every measured cycle's sensed voltage, in order.
+    #[inline]
+    fn sensed(&mut self, _volts: f64) {}
+}
+
+/// The hook of runs without one.
+pub(crate) struct NoHook;
+
+impl CycleHook for NoHook {}
+
+/// Records the sensed waveform of a run's first `limit` cycles.
+pub(crate) struct TraceHook<'a> {
+    pub(crate) buf: &'a mut Vec<f64>,
+    pub(crate) limit: u64,
+    pub(crate) seen: u64,
+}
+
+impl CycleHook for TraceHook<'_> {
+    #[inline]
+    fn sensed(&mut self, volts: f64) {
+        if self.seen < self.limit {
+            self.buf.push(volts);
+        }
+        self.seen += 1;
+    }
+}
+
 /// Accumulated measurement state shared by one-shot runs and sessions.
 ///
 /// Fields are crate-visible so the fused fast-slice kernel
@@ -60,14 +127,19 @@ pub(crate) struct MeasureState {
     pub(crate) interval_start_events: u64,
     pub(crate) measured_cycles: u64,
     pub(crate) last_sensed: f64,
+    /// Whether the fused kernel maintains the two channels only
+    /// [`RunStats`] reads: the sensor histogram/summary and the
+    /// overshoot grid. The reference loop always maintains them.
+    pub(crate) run_stats: bool,
     pub(crate) capture: Option<DroopCapture>,
     pub(crate) window: Option<WindowCapture>,
     pub(crate) invariants: Option<InvariantState>,
 }
 
 impl MeasureState {
-    /// Fresh state for a warmed-up chip. `interval_cycles` must be
-    /// non-zero (validated by the caller).
+    /// Fresh state for a warmed-up chip, with every [`RunStats`]
+    /// channel on. `interval_cycles` must be non-zero (validated by
+    /// the caller).
     pub(crate) fn new(chip: &Chip, interval_cycles: u64) -> Self {
         Self {
             sensor: VoltageSensor::new(chip.nominal_voltage()),
@@ -78,6 +150,7 @@ impl MeasureState {
             interval_start_events: 0,
             measured_cycles: 0,
             last_sensed: chip.last_sensed(),
+            run_stats: true,
             capture: None,
             window: None,
             invariants: None,
@@ -150,32 +223,32 @@ impl MeasureState {
     pub(crate) fn flush_droop_windows(&mut self, chip: &Chip) -> Vec<DroopWindow> {
         match self.window.as_mut() {
             Some(w) => {
-                w.flush(chip);
+                w.flush(chip.cores());
                 w.take_windows()
             }
             None => Vec::new(),
         }
     }
 
-    /// Advances the chip `cycles` measured cycles, updating sensor,
-    /// grids and the interval timeline. Returns the per-slice summary.
-    pub(crate) fn run(
+    /// The reference measurement loop: advances the chip `cycles`
+    /// measured cycles through [`Chip::step_cycle`], updating sensor,
+    /// grids, armed captures and the interval timeline. The fused
+    /// kernel (`crate::fastpath`) reproduces it bit for bit; this loop
+    /// stays as the test oracle behind [`ChipSession::run_slice`] and
+    /// for chip shapes the fused kernel is not specialized for.
+    pub(crate) fn run<H: CycleHook>(
         &mut self,
         chip: &mut Chip,
         sources: &mut [&mut dyn StimulusSource],
         cycles: u64,
-        mut trace: Option<(&mut Vec<f64>, u64)>,
-        mut hook: Option<&mut dyn FnMut(f64) -> CycleControl>,
+        hook: &mut H,
     ) -> SliceStats {
         let droops_before = self.droops.events_at(PHASE_MARGIN_PCT);
         let counters_before = chip.core_counters();
         let mut min_dev = 0.0f64;
         let mut sum_dev = 0.0f64;
-        for c in 0..cycles {
-            let recovery = match hook.as_mut() {
-                Some(h) => h(self.last_sensed) == CycleControl::Recovery,
-                None => false,
-            };
+        for _ in 0..cycles {
+            let recovery = hook.recovery(self.last_sensed);
             let v = chip.step_cycle(sources, false, recovery);
             self.last_sensed = v;
             let dev = self.sensor.record(v);
@@ -183,56 +256,61 @@ impl MeasureState {
             sum_dev += dev;
             self.droops.observe(dev);
             self.overshoots.observe(dev);
-            let mut crossing_started = false;
-            if let Some(cap) = self.capture.as_mut() {
-                let depth = -dev;
-                if depth >= cap.margin_pct {
-                    if cap.below {
-                        // Still inside the same event: track its floor.
-                        if let Some(last) = cap.events.last_mut() {
-                            last.depth_pct = last.depth_pct.max(depth);
-                        }
-                    } else {
-                        cap.below = true;
-                        cap.events.push(DroopCrossing {
-                            cycle: self.measured_cycles,
-                            depth_pct: depth,
-                        });
-                        crossing_started = true;
-                    }
-                } else {
-                    cap.below = false;
-                }
-            }
+            let crossing_started = match self.capture.as_mut() {
+                Some(cap) => cap.observe(self.measured_cycles, dev),
+                None => false,
+            };
             if let Some(win) = self.window.as_mut() {
-                win.on_cycle(chip, self.measured_cycles, dev, crossing_started);
+                win.on_cycle(chip.cores(), self.measured_cycles, dev, crossing_started);
             }
             if let Some(inv) = self.invariants.as_mut() {
-                inv.on_cycle(chip, self.measured_cycles, v, dev);
+                inv.on_cycle(chip.cores(), self.measured_cycles, v, dev);
             }
-            if let Some((buf, limit)) = trace.as_mut() {
-                if c < *limit {
-                    buf.push(v);
-                }
-            }
+            hook.sensed(v);
             self.measured_cycles += 1;
             if self.measured_cycles.is_multiple_of(self.interval_cycles) {
-                let now = self.droops.events_at(PHASE_MARGIN_PCT);
-                self.droops_per_interval.push(
-                    (now - self.interval_start_events) as f64 * 1000.0
-                        / self.interval_cycles as f64,
-                );
-                self.interval_start_events = now;
+                self.close_interval();
             }
         }
+        self.finish_slice(
+            chip,
+            cycles,
+            droops_before,
+            &counters_before,
+            min_dev,
+            sum_dev,
+        )
+    }
+
+    /// Appends the droop rate of the interval that just ended to the
+    /// timeline.
+    #[inline]
+    pub(crate) fn close_interval(&mut self) {
+        let now = self.droops.events_at(PHASE_MARGIN_PCT);
+        self.droops_per_interval
+            .push((now - self.interval_start_events) as f64 * 1000.0 / self.interval_cycles as f64);
+        self.interval_start_events = now;
+    }
+
+    /// Per-slice epilogue shared by both kernels: counter deltas, the
+    /// invariant checker's slice-level checks, and the summary.
+    pub(crate) fn finish_slice(
+        &mut self,
+        chip: &Chip,
+        cycles: u64,
+        droops_before: u64,
+        counters_before: &[PerfCounters],
+        min_dev: f64,
+        sum_dev: f64,
+    ) -> SliceStats {
         let core_deltas: Vec<PerfCounters> = chip
             .core_counters()
             .iter()
-            .zip(&counters_before)
+            .zip(counters_before)
             .map(|(now, then)| now.delta_since(then))
             .collect();
         if let Some(inv) = self.invariants.as_mut() {
-            inv.on_slice(chip, cycles, &core_deltas, &self.droops);
+            inv.on_slice(chip.cores(), cycles, &core_deltas, &self.droops);
         }
         SliceStats {
             cycles,
@@ -245,6 +323,18 @@ impl MeasureState {
             },
             core_deltas,
         }
+    }
+
+    /// Ends a one-shot run: drains the crossings, force-finalizes and
+    /// drains the windows (both empty when not armed) and converts the
+    /// rest into the final [`RunStats`].
+    pub(crate) fn into_outputs(
+        mut self,
+        chip: &Chip,
+    ) -> (RunStats, Vec<DroopCrossing>, Vec<DroopWindow>) {
+        let crossings = self.take_droop_crossings();
+        let windows = self.flush_droop_windows(chip);
+        (self.into_stats(chip), crossings, windows)
     }
 
     /// Converts the accumulated state into the final [`RunStats`].
@@ -322,10 +412,13 @@ impl SliceStats {
 pub struct ChipSession {
     pub(crate) chip: Chip,
     pub(crate) state: MeasureState,
-    /// Precomputed coefficients for the fused fast-slice kernel
-    /// (`crate::fastpath`), built on first use and reused for the
+    /// The fused kernel's verdict and precomputed coefficients
+    /// (`crate::fastpath`), resolved on first use and reused for the
     /// session's lifetime (the PDN matrices and ripple are immutable).
-    pub(crate) fast: Option<crate::fastpath::FastCache>,
+    pub(crate) fast: FastKernel,
+    /// Closure-sourced slices that ran the reference loop because the
+    /// chip's shape is outside the fused kernel's specialization.
+    pub(crate) kernel_fallback_slices: u64,
 }
 
 impl ChipSession {
@@ -352,11 +445,15 @@ impl ChipSession {
         Ok(Self {
             chip,
             state,
-            fast: None,
+            fast: FastKernel::Untried,
+            kernel_fallback_slices: 0,
         })
     }
 
-    /// Runs one slice of `cycles` measured cycles under `sources`.
+    /// Runs one slice of `cycles` measured cycles under `sources`
+    /// through the reference loop ([`Chip::step_cycle`]) — the test
+    /// oracle the fused kernel behind
+    /// [`ChipSession::run_slice_fast`] is held bit-identical to.
     ///
     /// Sources may differ between slices (that is the point: the
     /// service re-pairs jobs at slice boundaries); only the count must
@@ -371,7 +468,7 @@ impl ChipSession {
         cycles: u64,
     ) -> Result<SliceStats, ChipError> {
         self.chip.check_sources(sources.len())?;
-        Ok(self.state.run(&mut self.chip, sources, cycles, None, None))
+        Ok(self.state.run(&mut self.chip, sources, cycles, &mut NoHook))
     }
 
     /// Like [`ChipSession::begin`], but with profiling armed from the
@@ -442,8 +539,8 @@ impl ChipSession {
 
     /// Arms the physics/bookkeeping invariant checker (see the
     /// [`invariant`](crate::invariant) module). Like droop capture and
-    /// profiling, the hook is an `Option` that stays `None` unless
-    /// armed — a disarmed session pays one untaken branch per cycle.
+    /// profiling, the checker is a channel of the fused kernel's
+    /// monomorphized mask — a disarmed session runs a loop without it.
     /// Calling again re-arms with fresh baselines and drops unread
     /// violations.
     pub fn enable_invariants(&mut self, cfg: InvariantConfig) {
@@ -460,6 +557,14 @@ impl ChipSession {
     /// disarmed or everything held).
     pub fn take_invariant_violations(&mut self) -> Vec<InvariantViolation> {
         self.state.take_invariant_violations()
+    }
+
+    /// Slices [`ChipSession::run_slice_fast`] ran on the reference loop
+    /// because the chip's shape is outside the fused kernel's
+    /// specialization (not two cores on an 8-state, 2-input PDN with a
+    /// tabulable ripple period). Zero for the platform's chips.
+    pub fn kernel_fallback_slices(&self) -> u64 {
+        self.kernel_fallback_slices
     }
 
     /// Measured cycles so far.

@@ -115,6 +115,11 @@ pub struct ShardsStatus {
     pub merge_lag_epochs: u64,
     /// Decision-loop wall latency summary.
     pub decision_latency: LatencyStats,
+    /// Slices the shards ran on the reference chip loop instead of the
+    /// fused kernel, per reason label (`shape`: the chip is outside the
+    /// kernel's specialization). Zero for the platform's chips at any
+    /// armed instrument.
+    pub kernel_fallback_slices: Vec<(&'static str, u64)>,
 }
 
 /// Live fleet-campaign state, published once per checkpoint chunk.

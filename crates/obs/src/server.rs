@@ -265,6 +265,10 @@ fn serve_loop(listener: TcpListener, hub: &TelemetryHub, stop: &AtomicBool) {
         "serve_decision_latency_us",
         "Decision-loop wall latency summary, microseconds (stat=mean|max).",
     );
+    metrics.describe(
+        "chip_kernel_fallback_slices_total",
+        "Slices run on the reference chip loop instead of the fused kernel, by reason.",
+    );
     let mut cache = MetricsCache::default();
     loop {
         let stream = match listener.accept() {
@@ -642,6 +646,13 @@ fn set_shard_gauges(metrics: &MetricsRegistry, shards: &ShardsStatus) {
         &[("stat", "max")],
         shards.decision_latency.max_us as f64,
     );
+    for &(reason, slices) in &shards.kernel_fallback_slices {
+        metrics.gauge_with(
+            "chip_kernel_fallback_slices_total",
+            &[("reason", reason)],
+            slices as f64,
+        );
+    }
 }
 
 fn shards_json(shards: &ShardsStatus) -> String {
@@ -668,6 +679,15 @@ fn shards_json(shards: &ShardsStatus) -> String {
     ));
     let hwm: Vec<String> = shards.cell_queue_hwm.iter().map(u64::to_string).collect();
     out.push_str(&format!("  \"cell_queue_hwm\": [{}],\n", hwm.join(", ")));
+    let fallbacks: Vec<String> = shards
+        .kernel_fallback_slices
+        .iter()
+        .map(|(reason, slices)| format!("\"{reason}\": {slices}"))
+        .collect();
+    out.push_str(&format!(
+        "  \"kernel_fallback_slices\": {{{}}},\n",
+        fallbacks.join(", ")
+    ));
     out.push_str("  \"shards\": [\n");
     for (i, s) in shards.shards.iter().enumerate() {
         out.push_str(&format!(
@@ -835,6 +855,7 @@ mod tests {
                 total_us: 600,
                 max_us: 90,
             },
+            kernel_fallback_slices: vec![("shape", 3)],
         });
         snap.decisions = (0..4)
             .map(|i| DecisionEvent {
@@ -881,6 +902,12 @@ mod tests {
         assert!(metrics.body.contains("serve_merge_lag_epochs 1"));
         assert!(metrics.body.contains("# HELP serve_decision_latency_us"));
         assert!(metrics
+            .body
+            .contains("# HELP chip_kernel_fallback_slices_total"));
+        assert!(metrics
+            .body
+            .contains("chip_kernel_fallback_slices_total{reason=\"shape\"} 3"));
+        assert!(metrics
             .content_type
             .as_deref()
             .unwrap()
@@ -912,6 +939,8 @@ mod tests {
         assert_eq!(doc.get("grants").and_then(|v| v.as_f64()), Some(24.0));
         let latency = doc.get("decision_latency").unwrap();
         assert_eq!(latency.get("mean_us").and_then(|v| v.as_f64()), Some(50.0));
+        let fallbacks = doc.get("kernel_fallback_slices").unwrap();
+        assert_eq!(fallbacks.get("shape").and_then(|v| v.as_f64()), Some(3.0));
 
         let decisions = http_get(addr, "/decisions?n=2").unwrap();
         assert_eq!(decisions.status, 200);

@@ -51,6 +51,9 @@ pub(crate) struct RuntimeStats {
     pub decision_count: AtomicU64,
     pub decision_total_us: AtomicU64,
     pub decision_max_us: AtomicU64,
+    /// Slices shards ran on the reference chip loop because the chip's
+    /// shape is outside the fused kernel's specialization.
+    pub kernel_fallback_shape: AtomicU64,
 }
 
 impl RuntimeStats {
@@ -66,6 +69,7 @@ impl RuntimeStats {
             decision_count: AtomicU64::new(0),
             decision_total_us: AtomicU64::new(0),
             decision_max_us: AtomicU64::new(0),
+            kernel_fallback_shape: AtomicU64::new(0),
         }
     }
 
@@ -141,6 +145,10 @@ impl RuntimeStats {
                 total_us: self.decision_total_us.load(Ordering::Relaxed),
                 max_us: self.decision_max_us.load(Ordering::Relaxed),
             },
+            kernel_fallback_slices: vec![(
+                "shape",
+                self.kernel_fallback_shape.load(Ordering::Relaxed),
+            )],
         }
     }
 }

@@ -7,11 +7,14 @@
 //! produce the same logs ([`SliceLog`]); the merge layer cannot tell
 //! them apart — which is exactly the differential oracle
 //! `tests/shard_equivalence.rs` enforces. The shard backend advances
-//! busy chips through the fused fast-slice kernel
+//! busy chips through the fused chip kernel
 //! ([`ChipSession::run_slice_fast`], bit-identical to the reference
-//! loop and falling back to it automatically whenever window capture
-//! or the invariant checker needs whole-state visibility); the in-line
-//! backend keeps the historical dyn-dispatch reference loop.
+//! loop with every armed channel — crossings, waveform windows, the
+//! invariant checker — captured inside it; only a chip shape the
+//! kernel is not specialized for runs the reference loop, counted as
+//! `chip_kernel_fallback_slices_total{reason="shape"}`); the in-line
+//! backend keeps the historical dyn-dispatch reference loop as the
+//! differential oracle.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -287,11 +290,16 @@ fn shard_main(me: usize, shared: &PoolShared) {
                         epoch,
                         chip,
                     };
+                    let fallbacks_before = slot.cell.session.kernel_fallback_slices();
                     let outcome =
                         exec_slice(&mut slot.cell, true, tag, shared.slice_cycles, shared.drain);
                     match outcome {
                         Ok(log) => {
                             shared.stats.record_slice(me, token.stolen);
+                            shared.stats.kernel_fallback_shape.fetch_add(
+                                slot.cell.session.kernel_fallback_slices() - fallbacks_before,
+                                Ordering::Relaxed,
+                            );
                             if let Some(streams) = &shared.streams {
                                 let records = slice_span_buffer(
                                     chip,
