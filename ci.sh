@@ -15,6 +15,17 @@ cargo fmt --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== reference-oracle containment =="
+# RuntimeMode::Reference is the test oracle, not a production mode:
+# it may appear only in the service that implements it, the bench
+# harness rows that measure it, and the integration tests.
+if grep -rn --include='*.rs' 'RuntimeMode::Reference' . \
+        --exclude-dir=target --exclude-dir=.git \
+    | grep -v -e '^\./crates/serve/src/' -e '^\./crates/bench/' -e '^\./tests/'; then
+    echo "RuntimeMode::Reference used outside crates/serve/src, crates/bench and tests/"
+    exit 1
+fi
+
 echo "== testkit gate (oracles, invariants, properties) =="
 # Differential oracles, the campaign-scale invariant sweep, and the
 # seeded metamorphic property suites. The workspace test step above
@@ -24,14 +35,15 @@ echo "== testkit gate (oracles, invariants, properties) =="
 PROPTEST_CASES=64 cargo test -q -p vsmooth-testkit
 cargo test -q -p vsmooth-repro --test oracle_validation
 
-echo "== shard equivalence gate (coordinator vs sharded runtime) =="
-# The differential oracle for the shard-per-worker runtime: every
-# artifact class (report, trace JSON, profile JSON, health JSON, obs
-# snapshot stream, vsmooth-audit-v1 decision audit) byte-identical
-# between the in-line coordinator and
-# 1/2/4/8 shards, plus the seeded property over random job streams
-# with a pinned case count, plus the work-stealing stress suite with
-# job-conservation accounting and the armed invariant checker.
+echo "== shard equivalence gate (reference-kernel oracle vs fused-kernel shards) =="
+# The differential oracle for the fused chip kernel: every artifact
+# class (report, trace JSON, profile JSON, health JSON, obs snapshot
+# stream, vsmooth-audit-v1 decision audit) byte-identical between a
+# one-shard RuntimeMode::Reference pool stepping the reference cycle
+# loop and the production pool at 1/2/4/8 shards, plus the seeded
+# property over random job streams with a pinned case count, plus the
+# work-stealing stress suite with job-conservation accounting and the
+# armed invariant checker.
 PROPTEST_CASES=64 cargo test -q -p vsmooth-repro --test shard_equivalence
 cargo test -q -p vsmooth-repro --test shard_stress
 cargo test -q -p vsmooth-repro --test serve_invariance
@@ -165,7 +177,7 @@ grep -q 'status schema vsmooth-obs-v1' target/ci_obs_demo.out
 grep -q 'GET /profile -> 200' target/ci_obs_demo.out
 grep -q 'GET /shards -> 200' target/ci_obs_demo.out \
     || { echo "/shards scrape failed"; exit 1; }
-grep -q 'schema vsmooth-obs-shards-v1' target/ci_obs_demo.out
+grep -q 'schema vsmooth-obs-shards-v2' target/ci_obs_demo.out
 grep -Eq 'GET /decisions\?n=6 -> 200' target/ci_obs_demo.out
 grep -q 'malformed request -> 400' target/ci_obs_demo.out
 grep -q 'unknown path -> 404' target/ci_obs_demo.out

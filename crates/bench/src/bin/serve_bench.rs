@@ -23,6 +23,14 @@
 //! Full-mode buffering vs the streaming ring, plus a fleet-sweep
 //! throughput row (runs per second with and without checkpointing to
 //! disk).
+//!
+//! Every one-worker row — the 1-worker throughput row and both sides
+//! of the `traced`, `profiled`, `monitored`, `streaming` and
+//! `obs_scrape_under_load` rows — runs a one-shard
+//! `RuntimeMode::Reference` service, the reference cycle loop these
+//! rows have always measured; the 2/4/8-worker rows,
+//! `profiled_sharded` and `introspection` run the production
+//! `RuntimeMode::Sharded` pool.
 
 use std::time::Instant;
 
@@ -52,7 +60,12 @@ fn main() {
 
     let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
     cfg.slice_cycles = SLICE;
-    let service = Service::new(cfg).expect("valid config");
+    let service = Service::new(cfg.clone()).expect("valid config");
+    cfg.runtime = RuntimeMode::Reference;
+    let reference = Service::new(cfg).expect("valid config");
+    // The service a row at `workers` runs on: the reference oracle at
+    // one worker, the production pool beyond.
+    let service_at = |workers: usize| if workers == 1 { &reference } else { &service };
     let jobs = synthetic_jobs(2010, JOBS, 900);
 
     // Throughput per worker count: median wall time and simulated
@@ -63,13 +76,13 @@ fn main() {
     // of skewing whichever count happened to run last. The scaling
     // ratios below compare medians across counts, so drift matters
     // more here than in any single row.
-    let warm = service.run(&jobs, &OnlineDroop, 1).expect("service run");
+    let warm = reference.run(&jobs, &OnlineDroop, 1).expect("service run");
     let mut wall_ms = vec![Vec::with_capacity(ROUNDS); WORKER_COUNTS.len()];
     let mut kcps = vec![Vec::with_capacity(ROUNDS); WORKER_COUNTS.len()];
     for round in 0..=ROUNDS {
         for (i, &workers) in WORKER_COUNTS.iter().enumerate() {
             let start = Instant::now();
-            let report = service
+            let report = service_at(workers)
                 .run(&jobs, &OnlineDroop, workers)
                 .expect("service run");
             let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -136,28 +149,24 @@ fn main() {
         println!("{name} overhead: {ratio:.2}x");
         (name.to_string(), ratio)
     };
-    // The historical rows run at one worker, against a plain
-    // one-worker run.
+    // The historical rows run the reference oracle at one worker,
+    // against a plain one-worker reference run.
     let plain_one_worker = || {
-        service.run(&jobs, &OnlineDroop, 1).expect("service run");
+        reference.run(&jobs, &OnlineDroop, 1).expect("service run");
     };
     let overhead = |name: &str, run: &dyn Fn()| overhead_vs(name, &plain_one_worker, run);
     // The production path: the sharded runtime at one shard per host
     // core, profiled against plain.
     let shards = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut sharded_cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
-    sharded_cfg.slice_cycles = SLICE;
-    sharded_cfg.runtime = RuntimeMode::Sharded;
-    let sharded = Service::new(sharded_cfg).expect("valid config");
     let mut ratios = vec![
         overhead("traced", &|| {
             let tracer = Tracer::enabled();
-            service
+            reference
                 .run_traced(&jobs, &OnlineDroop, 1, &tracer)
                 .expect("service run");
         }),
         overhead("profiled", &|| {
-            service
+            reference
                 .run_profiled(
                     &jobs,
                     &OnlineDroop,
@@ -170,12 +179,12 @@ fn main() {
         overhead_vs(
             "profiled_sharded",
             &|| {
-                sharded
+                service
                     .run(&jobs, &OnlineDroop, shards)
                     .expect("service run");
             },
             &|| {
-                sharded
+                service
                     .run_profiled(
                         &jobs,
                         &OnlineDroop,
@@ -187,7 +196,7 @@ fn main() {
             },
         ),
         overhead("monitored", &|| {
-            service
+            reference
                 .run_monitored(
                     &jobs,
                     &OnlineDroop,
@@ -199,7 +208,7 @@ fn main() {
         }),
         overhead("streaming", &|| {
             let tracer = Tracer::streaming_to_writer(std::io::sink(), StreamConfig::default());
-            service
+            reference
                 .run_traced(&jobs, &OnlineDroop, 1, &tracer)
                 .expect("service run");
             tracer
@@ -226,6 +235,7 @@ fn main() {
         let addr = server.local_addr();
         let mut obs_cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
         obs_cfg.slice_cycles = SLICE;
+        obs_cfg.runtime = RuntimeMode::Reference;
         let mut obs_opts = ObsConfig::new(server.hub());
         // Publishing every epoch would re-snapshot the metrics registry
         // hundreds of times in a ~50 ms run; every 64 epochs keeps
@@ -259,7 +269,7 @@ fn main() {
         let mut scrapes_total = 0u64;
         for _ in 0..obs_rounds {
             let start = Instant::now();
-            monitored(&service);
+            monitored(&reference);
             plain_times.push(start.elapsed().as_secs_f64().max(1e-9));
 
             let stop = Arc::new(AtomicBool::new(false));
@@ -346,14 +356,14 @@ fn main() {
     // run ends; the streaming pipeline's working set is its fixed ring.
     let full_records = {
         let tracer = Tracer::enabled();
-        service
+        reference
             .run_traced(&jobs, &OnlineDroop, 1, &tracer)
             .expect("service run");
         tracer.len() as u64
     };
     let stream_stats = {
         let tracer = Tracer::streaming_to_writer(std::io::sink(), StreamConfig::default());
-        service
+        reference
             .run_traced(&jobs, &OnlineDroop, 1, &tracer)
             .expect("service run");
         tracer

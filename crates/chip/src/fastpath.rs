@@ -18,7 +18,7 @@
 //! *exactly* — same adds, same order, same clamps — so every value it
 //! produces is bit-identical to the reference loop. That property is
 //! what lets the sharded serving runtime use it while still promising
-//! byte-identical artifacts against the single-threaded coordinator
+//! byte-identical artifacts against the reference-kernel oracle
 //! (`tests/shard_equivalence.rs`), and it is enforced by the identity
 //! tests at the bottom of this file.
 //!

@@ -61,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod detector;
-mod json;
 #[allow(clippy::module_inception)]
 pub mod monitor;
 pub mod recorder;

@@ -11,12 +11,11 @@
 //! [`validate_postmortem`], mirroring the Chrome-trace exporter's
 //! validator.
 
-use crate::json::{escape_json, json_f64};
 use crate::slo::Alert;
 use crate::window::WindowSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use vsmooth_trace::{parse_json, DroopEvent};
+use vsmooth_trace::{escape_json, json_f64, parse_json, DroopEvent};
 
 /// Schema tag stamped on every postmortem bundle.
 pub const POSTMORTEM_SCHEMA: &str = "vsmooth-postmortem-v1";

@@ -2,13 +2,13 @@
 //! final windowed signals, with deterministic JSON/text renders and a
 //! metrics exporter.
 
-use crate::json::{escape_json, json_f64};
 use crate::recorder::{alert_json, PostmortemBundle};
 use crate::slo::{Alert, AlertPhase, Severity};
 use crate::window::WindowSnapshot;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use vsmooth_stats::MetricsRegistry;
+use vsmooth_trace::{escape_json, json_f64};
 
 /// Schema tag stamped on every health-report JSON document.
 pub const HEALTH_SCHEMA: &str = "vsmooth-health-v1";

@@ -78,17 +78,6 @@ pub struct ShardStatus {
     pub slices_stolen: u64,
     /// High-water mark of the shard's event-lane occupancy.
     pub lane_occupancy_hwm: u64,
-    /// Trace bundles the shard offered to its streaming ring.
-    pub stream_bundles: u64,
-    /// Trace bundles dropped because the ring was full (the merge
-    /// synthesizes the identical records, so drops cost CPU, not
-    /// bytes).
-    pub stream_dropped: u64,
-    /// High-water mark of the shard's streaming-ring occupancy.
-    pub stream_ring_hwm: u64,
-    /// The streaming ring's capacity, in bundles (0 when the run is
-    /// not streaming per-shard telemetry).
-    pub stream_ring_capacity: u64,
 }
 
 /// Live runtime introspection of the shard-per-worker backend, behind
@@ -158,7 +147,7 @@ pub struct ObsSnapshot {
     /// Latest `vsmooth-profile-v1` JSON behind `/profile`.
     pub profile_json: Option<Arc<String>>,
     /// Live shard-runtime introspection behind `/shards` (absent on
-    /// coordinator-backend runs and fleet publishers).
+    /// fleet publishers, so `/shards` answers 404 there).
     pub shards: Option<ShardsStatus>,
     /// The decision audit ring behind `/decisions`, oldest first.
     /// Folded merge-side in `(epoch, chip)` order, so — unlike

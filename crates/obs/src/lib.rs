@@ -21,7 +21,7 @@
 //!   `/readyz` (503 until the first publish), `/status`
 //!   (`vsmooth-obs-v1` JSON), `/trace/recent?n=N` (last N droop
 //!   crossings), `/profile` (latest `vsmooth-profile-v1` JSON),
-//!   `/shards` (`vsmooth-obs-shards-v1` JSON, the live shard-runtime
+//!   `/shards` (`vsmooth-obs-shards-v2` JSON, the live shard-runtime
 //!   introspection), `/decisions?n=N` (the scheduler decision audit
 //!   ring). The server self-observes: `obs_scrapes_total
 //!   {endpoint,status}`, a scrape latency histogram, a snapshot
@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 mod hub;
-mod json;
 mod server;
 
 pub use hub::{

@@ -6,7 +6,7 @@ use crate::profiler::NoiseProfile;
 use std::fmt::Write as _;
 use vsmooth_chip::DroopWindow;
 use vsmooth_stats::MetricsRegistry;
-use vsmooth_trace::{ArgValue, Tracer};
+use vsmooth_trace::{escape_json, ArgValue, Tracer};
 use vsmooth_uarch::StallEvent;
 
 /// One workload's (or phase's) profile, labeled.
@@ -265,25 +265,6 @@ fn json_u64_array(values: &[u64]) -> String {
         let _ = write!(out, "{v}");
     }
     out.push(']');
-    out
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -1,7 +1,7 @@
-//! Control plane of the sharded service runtime: the typed records
-//! the coordinator's decision loop emits, the commands it sends to
-//! chip cells, the slice logs shards send back, and the event bus
-//! those logs travel over.
+//! Control plane of the service runtime: the runtime mode, the typed
+//! records the decision loop emits, the commands it sends to chip
+//! cells, the slice logs shards send back, and the event bus those
+//! logs travel over.
 //!
 //! The decision loop never touches an artifact sink (metrics, tracer,
 //! monitor, profiler, obs hub, telemetry book). It only *decides* —
@@ -9,7 +9,7 @@
 //! each epoch as an [`EpochRec`]. Every observable side effect is
 //! produced later by the merge layer (`crate::merge`) replaying those
 //! records against the per-chip [`SliceLog`]s, in exactly the order
-//! the historical single-coordinator loop produced them. Byte-identity
+//! the historical single-threaded loop produced them. Byte-identity
 //! of every artifact therefore holds by construction, regardless of
 //! which shard executed which slice when.
 
@@ -21,22 +21,27 @@ use vsmooth_chip::{ChipError, DroopCrossing, DroopWindow, SliceStats};
 use vsmooth_trace::DecisionEvent;
 use vsmooth_workload::EventStream;
 
-/// How [`Service::run`](crate::Service::run) maps its `workers`
-/// argument onto an execution backend.
+/// Which chip kernel the shard pool steps. Either way
+/// [`Service::run`](crate::Service::run) runs one long-lived shard per
+/// worker (`workers <= 1` means one shard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeMode {
-    /// `workers <= 1` runs on the in-line coordinator backend,
-    /// `workers >= 2` runs one long-lived shard per worker. The
+    /// The production runtime: shards step the fused chip kernel. The
     /// default.
     #[default]
-    Auto,
-    /// Always the single-threaded coordinator backend, whatever
-    /// `workers` says. This is the reference implementation the shard
-    /// runtime is differentially tested against: chips advance in-line
-    /// on the coordinator thread through the reference cycle loop.
-    Coordinator,
-    /// Always the shard-per-worker backend, even for `workers == 1`.
     Sharded,
+    /// The differential test oracle, not for production: cells warm
+    /// up and shards step the reference cycle loop, which the fused
+    /// kernel must match byte for byte in every artifact.
+    Reference,
+}
+
+impl RuntimeMode {
+    /// Whether shards warm up and step through the fused kernel — the
+    /// one place the kernel is chosen.
+    pub(crate) fn fast_kernel(self) -> bool {
+        self == Self::Sharded
+    }
 }
 
 /// One job placement decided in an epoch, in decision order.
@@ -109,12 +114,11 @@ impl EpochRec {
     }
 }
 
-/// A job as a chip cell holds it: the instance-seeded event stream
-/// plus the workload name the shard needs to label slice spans.
+/// A job as a chip cell holds it: its id and instance-seeded event
+/// stream.
 #[derive(Debug)]
 pub(crate) struct CellJob {
     pub id: u64,
-    pub workload: String,
     pub stream: EventStream,
 }
 
@@ -127,10 +131,8 @@ pub(crate) enum CellCmd {
     /// Install `job` on `core` (the decision loop only targets cores
     /// its shadow occupancy knows are free).
     AddJob { core: usize, job: CellJob },
-    /// Advance the chip one scheduling quantum for epoch `epoch`,
-    /// whose virtual clock at the slice's start is `now` (the shard
-    /// needs it to stamp slice-span timestamps).
-    Grant { epoch: u64, now: u64 },
+    /// Advance the chip one scheduling quantum for epoch `epoch`.
+    Grant { epoch: u64 },
 }
 
 /// Everything one executed slice produced, tagged `(shard, epoch,
@@ -155,7 +157,7 @@ pub(crate) struct SliceLog {
     pub finished: [Option<u64>; 2],
 }
 
-/// One message from a shard to the coordinator.
+/// One message from a shard to the decision loop.
 #[derive(Debug)]
 pub(crate) enum ShardEvent {
     Slice(SliceLog),
@@ -174,9 +176,9 @@ struct BusState {
     exited: usize,
 }
 
-/// The shard→coordinator event bus: one single-producer lane per
-/// shard (each shard is its lane's only writer; the coordinator is
-/// the only reader) plus a shared doorbell the coordinator blocks on
+/// The shard→decision-loop event bus: one single-producer lane per
+/// shard (each shard is its lane's only writer; the decision loop is
+/// the only reader) plus a shared doorbell the decision loop blocks on
 /// while granted slices are still in flight.
 #[derive(Debug)]
 pub(crate) struct EventBus {
@@ -195,7 +197,7 @@ impl EventBus {
     }
 
     /// Publishes `event` on `shard`'s lane and rings the doorbell.
-    /// The coordinator is the bell's only waiter, so one wake is
+    /// The decision loop is the bell's only waiter, so one wake is
     /// enough. Returns the lane's occupancy after the push so the
     /// publisher can feed its lane high-water mark.
     pub(crate) fn publish(&self, shard: usize, event: ShardEvent) -> usize {
@@ -209,14 +211,15 @@ impl EventBus {
         occupancy
     }
 
-    /// Marks one shard as exited, waking the coordinator so it can
+    /// Marks one shard as exited, waking the decision loop so it can
     /// notice missing logs instead of blocking forever.
     pub(crate) fn shard_exited(&self) {
         self.state.lock().expect("bus state lock").exited += 1;
         self.bell.notify_one();
     }
 
-    /// Drains every lane into `sink` (coordinator side, non-blocking).
+    /// Drains every lane into `sink` (decision-loop side,
+    /// non-blocking).
     pub(crate) fn drain(&self, sink: &mut Vec<ShardEvent>) {
         for lane in &self.lanes {
             let mut lane = lane.lock().expect("lane lock");

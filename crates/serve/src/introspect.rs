@@ -18,7 +18,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vsmooth_obs::{LatencyStats, ShardStatus, ShardsStatus};
-use vsmooth_trace::ShardStreams;
 
 /// Per-shard execution counters.
 #[derive(Debug, Default)]
@@ -34,7 +33,7 @@ pub(crate) struct ShardCounters {
 /// The shared introspection scoreboard of one service run.
 #[derive(Debug)]
 pub(crate) struct RuntimeStats {
-    /// One counter block per shard (the inline backend uses slot 0).
+    /// One counter block per shard.
     pub shards: Vec<ShardCounters>,
     /// Per-chip command-queue depth high-water marks.
     pub cell_queue_hwm: Vec<AtomicU64>,
@@ -100,32 +99,17 @@ impl RuntimeStats {
 
     /// Snapshots the scoreboard into the published obs section.
     /// `epochs_merged` comes from the merge layer (lag = decided −
-    /// merged); `streams` is the per-shard trace ring, when streaming.
-    pub(crate) fn status(
-        &self,
-        epochs_merged: u64,
-        streams: Option<&ShardStreams>,
-    ) -> ShardsStatus {
-        let lane_stats = streams.map(|s| s.lane_stats());
+    /// merged).
+    pub(crate) fn status(&self, epochs_merged: u64) -> ShardsStatus {
         let shards = self
             .shards
             .iter()
             .enumerate()
-            .map(|(i, counters)| {
-                let lane = lane_stats
-                    .as_ref()
-                    .and_then(|stats| stats.get(i).copied())
-                    .unwrap_or_default();
-                ShardStatus {
-                    shard: i,
-                    slices_owned: counters.owned.load(Ordering::Relaxed),
-                    slices_stolen: counters.stolen.load(Ordering::Relaxed),
-                    lane_occupancy_hwm: counters.lane_hwm.load(Ordering::Relaxed),
-                    stream_bundles: lane.offered,
-                    stream_dropped: lane.dropped,
-                    stream_ring_hwm: lane.peak_occupancy,
-                    stream_ring_capacity: lane.capacity,
-                }
+            .map(|(i, counters)| ShardStatus {
+                shard: i,
+                slices_owned: counters.owned.load(Ordering::Relaxed),
+                slices_stolen: counters.stolen.load(Ordering::Relaxed),
+                lane_occupancy_hwm: counters.lane_hwm.load(Ordering::Relaxed),
             })
             .collect();
         let epochs_decided = self.epochs_decided.load(Ordering::Relaxed);
@@ -164,7 +148,7 @@ mod tests {
         stats.record_slice(0, false);
         stats.record_slice(1, true);
         assert_eq!(stats.slices_total(), 3);
-        let status = stats.status(0, None);
+        let status = stats.status(0);
         assert_eq!(status.shards[0].slices_owned, 2);
         assert_eq!(status.shards[1].slices_stolen, 1);
         assert_eq!(status.cell_queue_hwm, vec![0, 0, 0]);
@@ -176,7 +160,7 @@ mod tests {
         stats.record_decision_latency(10);
         stats.record_decision_latency(30);
         stats.epochs_decided.store(8, Ordering::Relaxed);
-        let status = stats.status(5, None);
+        let status = stats.status(5);
         assert_eq!(status.merge_lag_epochs, 3);
         assert_eq!(status.decision_latency.count, 2);
         assert_eq!(status.decision_latency.total_us, 40);

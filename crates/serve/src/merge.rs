@@ -2,14 +2,14 @@
 //! epoch records against per-chip slice logs, reconstructing every
 //! artifact — metrics, trace records, monitor feed, profiler
 //! attribution, obs snapshots, the telemetry book and the completed
-//! jobs — in exactly the order the historical single-coordinator loop
+//! jobs — in exactly the order the historical single-threaded loop
 //! produced them.
 //!
 //! The replay is keyed by `(epoch, chip)`: epoch records are replayed
 //! in epoch order, and within an epoch busy chips are walked in
 //! chip-index order. Which shard executed a slice, in what real-time
 //! order, with how much work-stealing — none of it is visible here,
-//! which is what makes every artifact byte-identical across backends
+//! which is what makes every artifact byte-identical across kernels
 //! and shard counts (enforced by `tests/shard_equivalence.rs`). The
 //! single documented exception is the live shard-runtime section
 //! ([`ObsSnapshot::shards`](vsmooth_obs::ObsSnapshot)): per-shard
@@ -18,14 +18,9 @@
 //! are execution-dependent by design — only the total slice count
 //! reconciles deterministically (`tests/shard_stress.rs`).
 //!
-//! Slice-span trace records take one of two equivalent paths: when the
-//! sharded backend streams spans, each shard builds its slices' spans
-//! locally (through [`slice_span_buffer`], the shared builder) and the
-//! merge stitches the `(shard, epoch, seq)`-tagged bundles into the
-//! global stream at exactly the point the historical loop emitted
-//! them; when a bundle was ring-dropped — or spans are not streamed at
-//! all — the merge synthesizes identical records through the same
-//! builder. Either way the exported bytes are the same.
+//! Slice-span trace records are built here too, from the epoch record
+//! (which jobs were resident) rather than by the shards, at exactly the
+//! point the historical loop emitted them.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -34,7 +29,7 @@ use crate::audit::{AuditConfig, AuditLog};
 use crate::control::{BusyChip, EpochRec, SliceLog};
 use crate::introspect::RuntimeStats;
 use crate::job::CompletedJob;
-use crate::shard::{slice_span_buffer, ChipCell};
+use crate::shard::ChipCell;
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use vsmooth_chip::{DroopWindow, PHASE_MARGIN_PCT};
@@ -42,9 +37,7 @@ use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
 use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
 use vsmooth_stats::MetricsRegistry;
-use vsmooth_trace::{
-    chip_pid, ArgValue, DroopEvent, ShardStreams, TraceBuffer, Tracer, PID_JOBS, PID_MONITOR,
-};
+use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, TraceBuffer, Tracer, PID_JOBS, PID_MONITOR};
 
 /// Virtual thread id hosting `droop_window` spans on a chip timeline
 /// (cores are threads 0 and 1).
@@ -83,20 +76,13 @@ pub(crate) struct Merge<'a> {
     obs: Option<&'a ObsConfig>,
     publish_every: u64,
     recent_cap: usize,
-    /// The /trace/recent ring: an independent coordinator-side copy
+    /// The /trace/recent ring: an independent merge-side copy
     /// of recent crossings (the tracer's own ring stays
     /// exporter-owned).
     recent: Option<VecDeque<DroopEvent>>,
     /// The live introspection scoreboard, read (never written) at
     /// publish boundaries for the snapshot's `shards` section.
     stats: Arc<RuntimeStats>,
-    /// The per-shard streaming rings, for their lane stats in the
-    /// `shards` section. `None` when spans are not streamed.
-    streams: Option<Arc<ShardStreams>>,
-    /// Whether this run executes on the sharded backend — the `shards`
-    /// section is published only then (a coordinator run has no shard
-    /// runtime to introspect; `/shards` answers 404).
-    sharded: bool,
     /// The decision audit ring, when [`AuditConfig`] armed it. Folded
     /// here at replay time, so its contents are deterministic.
     audit: Option<AuditLog>,
@@ -129,8 +115,6 @@ impl<'a> Merge<'a> {
         monitor: Option<&'a mut Monitor>,
         obs: Option<&'a ObsConfig>,
         stats: Arc<RuntimeStats>,
-        streams: Option<Arc<ShardStreams>>,
-        sharded: bool,
         audit: Option<&AuditConfig>,
         chips: usize,
         slice_cycles: u64,
@@ -149,8 +133,6 @@ impl<'a> Merge<'a> {
             recent_cap,
             recent,
             stats,
-            streams,
-            sharded,
             audit: audit.map(|a| AuditLog::new(a.capacity)),
             slice_cycles,
             jobs_submitted,
@@ -174,42 +156,31 @@ impl<'a> Merge<'a> {
         &self.book
     }
 
-    /// Synthesizes one busy chip's slice spans through the shared
-    /// builder — the fallback when no shard-built bundle arrived, and
-    /// the debug-time oracle when one did.
+    /// Builds one busy chip's slice spans: one `slice` span per
+    /// resident core, in core order, named after the workload.
     fn synth_slice_spans(&self, b: &BusyChip, now: u64, cycles: u64) -> TraceBuffer {
-        slice_span_buffer(
-            b.chip,
-            now,
-            cycles,
-            b.cores.iter().enumerate().filter_map(|(core, cs)| {
-                cs.as_ref()
-                    .map(|cs| (core, self.running[&cs.job].spec.workload.as_str(), cs.job))
-            }),
-        )
-    }
-
-    /// The snapshot sections carrying live/audit runtime state.
-    fn shards_section(&self) -> Option<vsmooth_obs::ShardsStatus> {
-        self.sharded.then(|| {
-            self.stats
-                .status(self.epochs_merged, self.streams.as_deref())
-        })
+        let mut buf = TraceBuffer::new();
+        for (core, cs) in b.cores.iter().enumerate() {
+            let Some(cs) = cs else { continue };
+            buf.span(
+                self.running[&cs.job].spec.workload.as_str(),
+                "slice",
+                chip_pid(b.chip),
+                core as u64,
+                now,
+                cycles,
+                vec![("job", ArgValue::from(cs.job))],
+            );
+        }
+        buf
     }
 
     /// Replays one epoch record with its busy chips' logs (in
-    /// `rec.busy` order) and, when spans are streamed, the shard-built
-    /// span bundles aligned with those logs (`None` entries are
-    /// synthesized). Returns the typed overflow error when the record
-    /// ends in an admission overflow, after replaying the admissions
-    /// that preceded it — leaving metrics and trace state exactly as
-    /// the historical in-line loop left them.
-    pub(crate) fn replay(
-        &mut self,
-        rec: &EpochRec,
-        logs: &[SliceLog],
-        spans: Vec<Option<TraceBuffer>>,
-    ) -> Result<(), ServeError> {
+    /// `rec.busy` order). Returns the typed overflow error when the
+    /// record ends in an admission overflow, after replaying the
+    /// admissions that preceded it — leaving metrics and trace state
+    /// exactly as the historical in-line loop left them.
+    pub(crate) fn replay(&mut self, rec: &EpochRec, logs: &[SliceLog]) -> Result<(), ServeError> {
         let now = rec.now;
         if !rec.decisions.is_empty() {
             if let Some(log) = self.audit.as_mut() {
@@ -285,9 +256,7 @@ impl<'a> Merge<'a> {
         let mut epoch_droops = 0u64;
         let mut epoch_min_margin = PHASE_MARGIN_PCT;
         let mut epoch_margin_weight = 0.0f64;
-        let mut spans = spans.into_iter();
         for (b, log) in rec.busy.iter().zip(logs) {
-            let stitched = spans.next().flatten();
             let slice = &log.stats;
             for (core, cs) in b.cores.iter().enumerate() {
                 // The decision loop predicted this slice's completions
@@ -304,7 +273,7 @@ impl<'a> Merge<'a> {
             // Slice counters land here, not at execution time: shards
             // run ahead of the merge, and obs snapshots taken at
             // publish boundaries must count exactly the slices merged
-            // so far to stay backend-independent. They accumulate
+            // so far to stay execution-independent. They accumulate
             // locally and flush before the next registry read.
             self.pending_slices += 1;
             self.pending_cycles += slice.cycles;
@@ -322,22 +291,8 @@ impl<'a> Merge<'a> {
                 self.metrics.observe("droop_depth_pct", slice.max_droop_pct);
             }
             if self.tracer.is_enabled() {
-                // Stitch the shard-built bundle in, or synthesize the
-                // identical records when none was delivered; either
-                // way the global stream's bytes are the same.
-                match stitched {
-                    Some(bundle) => {
-                        debug_assert_eq!(
-                            bundle,
-                            self.synth_slice_spans(b, now, slice.cycles),
-                            "shard-built slice spans drifted from the merge synthesis"
-                        );
-                        self.tracer.merge(bundle);
-                    }
-                    None => self
-                        .tracer
-                        .merge(self.synth_slice_spans(b, now, slice.cycles)),
-                }
+                self.tracer
+                    .merge(self.synth_slice_spans(b, now, slice.cycles));
             }
             if self.tracer.wants_droop_events()
                 || self.profiler.is_some()
@@ -449,7 +404,7 @@ impl<'a> Merge<'a> {
         if let Some(m) = self.monitor.as_deref_mut() {
             // Close the monitoring epoch after the merge, with the
             // queue state placement left behind — all decision-loop
-            // state, so the sample is backend-independent.
+            // state, so the sample is execution-independent.
             m.on_epoch(EpochSample {
                 end_cycle: now + self.slice_cycles,
                 cycles: epoch_cycles,
@@ -489,7 +444,7 @@ impl<'a> Merge<'a> {
                     health: self.monitor.as_deref().map(Monitor::status),
                     service: Some(status),
                     fleet: None,
-                    shards: self.shards_section(),
+                    shards: Some(self.stats.status(self.epochs_merged)),
                     decisions: self
                         .audit
                         .as_ref()
@@ -524,7 +479,7 @@ impl<'a> Merge<'a> {
 
     /// End of run: final window flushes, aggregate counters and float
     /// observations, health/profile exports, the final obs publish,
-    /// and the report. `cells` must come back from the backend in
+    /// and the report. `cells` must come back from the shard pool in
     /// chip order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finalize(
@@ -553,7 +508,7 @@ impl<'a> Merge<'a> {
         self.metrics.counter_add("serve_droops_total", self.droops);
         self.metrics
             .counter_with("droops_total", &[("policy", &policy_name)], self.droops);
-        // Float observations only here, on the coordinator, in
+        // Float observations only here, in the merge layer, in
         // completion order — see the module docs on determinism.
         for job in &self.completed {
             self.metrics
@@ -630,9 +585,9 @@ impl<'a> Merge<'a> {
             self.tracer.export_telemetry(self.metrics);
         }
         let snapshot = self.metrics.snapshot();
-        // Both backends credit every executed slice to the live
-        // scoreboard, so the introspection tallies must reconcile
-        // exactly with the deterministic counter.
+        // Shards credit every executed slice to the live scoreboard,
+        // so the introspection tallies must reconcile exactly with the
+        // deterministic counter.
         debug_assert_eq!(
             self.stats.slices_total(),
             snapshot.counter("serve_slices_total"),
@@ -658,7 +613,7 @@ impl<'a> Merge<'a> {
                     done: true,
                 }),
                 fleet: None,
-                shards: self.shards_section(),
+                shards: Some(self.stats.status(self.epochs_merged)),
                 decisions: self
                     .audit
                     .as_ref()

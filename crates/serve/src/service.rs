@@ -9,18 +9,18 @@
 //!   the pending/ready queues, a shadow of every chip's occupancy, and
 //!   the telemetry book scores read at placement. It never touches an
 //!   artifact sink; each epoch's decisions are recorded as an
-//!   [`EpochRec`] and execution is delegated to a [`Backend`].
-//! * **The execution backend** (`crate::shard`) advances chips:
-//!   in-line on this thread (the reference backend) or on a pool of
-//!   long-lived shard workers with per-shard run queues and
-//!   work-stealing (the throughput backend, see
-//!   [`RuntimeMode`]). Executors return one `SliceLog` per granted
-//!   slice.
+//!   [`EpochRec`] and execution is delegated to a [`ShardPool`].
+//! * **The shard pool** (`crate::shard`) advances chips on long-lived
+//!   shard workers with per-shard run queues and work-stealing — the
+//!   service's only execution backend. [`RuntimeMode`] picks the chip
+//!   kernel the shards step: the fused kernel in production, the
+//!   reference cycle loop as a test oracle. Shards return one
+//!   `SliceLog` per granted slice.
 //! * **The merge layer** (`crate::merge`) replays epoch records
 //!   against slice logs in `(epoch, chip)` order, reconstructing
 //!   metrics, trace records, monitor feed, profiler attribution and
 //!   obs snapshots in exactly the order the historical
-//!   single-coordinator loop produced them.
+//!   single-threaded loop produced them.
 //!
 //! # Determinism
 //!
@@ -31,7 +31,7 @@
 //!   the decision loop between epochs, never concurrently, and the
 //!   loop syncs the merge through every prior epoch before any
 //!   decision that reads the telemetry book.
-//! * Executors only advance disjoint chips; their logs are keyed
+//! * Shards only advance disjoint chips; their logs are keyed
 //!   `(epoch, chip)` and merged in that order regardless of which
 //!   shard ran what, when, or how much work was stolen.
 //! * Every float observation (gauges, histograms, EWMA folds) is
@@ -39,16 +39,16 @@
 //!
 //! The invariance is enforced by test twice over: the in-file tests
 //! pin reports/traces/profiles/health across worker counts, and
-//! `tests/shard_equivalence.rs` differentially tests the shard runtime
-//! against the in-line coordinator backend at 1/2/4/8 shards for five
-//! artifact classes, byte for byte.
+//! `tests/shard_equivalence.rs` differentially tests the fused-kernel
+//! pool at 1/2/4/8 shards against a one-shard [`RuntimeMode::Reference`]
+//! pool for six artifact classes, byte for byte.
 
 use crate::audit::{AuditConfig, AuditReport};
 use crate::control::{BusyChip, CellJob, CoreSlice, EpochRec, PlaceRec, RuntimeMode, SliceLog};
 use crate::introspect::RuntimeStats;
 use crate::job::{CompletedJob, JobSpec};
 use crate::merge::{Merge, PROFILE_TID};
-use crate::shard::{Backend, ChipCell, DrainPlan};
+use crate::shard::{ChipCell, DrainPlan, ShardPool};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use serde::{Deserialize, Serialize};
@@ -64,10 +64,7 @@ use vsmooth_obs::ObsConfig;
 use vsmooth_profile::{ProfileConfig, ProfileReport, Profiler};
 use vsmooth_sched::PairPolicy;
 use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
-use vsmooth_trace::{
-    chip_pid, DecisionEvent, DecisionKind, ShardStreams, Tracer, DEFAULT_SHARD_RING, PID_JOBS,
-    PID_MONITOR,
-};
+use vsmooth_trace::{chip_pid, DecisionEvent, DecisionKind, Tracer, PID_JOBS, PID_MONITOR};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 use vsmooth_workload::by_name;
 
@@ -89,16 +86,16 @@ pub struct ServiceConfig {
     /// ready queue past this many waiting jobs. `None` (the default)
     /// leaves the queue unbounded, preserving historical behavior.
     pub queue_capacity: Option<usize>,
-    /// Live-observation wiring: when set, the coordinator publishes
+    /// Live-observation wiring: when set, the merge layer publishes
     /// [`ObsSnapshot`](vsmooth_obs::ObsSnapshot)s into the configured
     /// hub at the configured epoch cadence, feeding the `vsmooth-obs`
     /// scrape endpoints. Publishing is strictly observational — the
     /// report, trace and health artifacts of a run are byte-identical
     /// with or without it (enforced by test).
     pub obs: Option<ObsConfig>,
-    /// How the `workers` argument of [`Service::run`] maps onto an
-    /// execution backend; [`RuntimeMode::Auto`] (the default) uses the
-    /// shard runtime whenever `workers >= 2`.
+    /// Which chip kernel the shard pool steps:
+    /// [`RuntimeMode::Sharded`] (the default) for production,
+    /// [`RuntimeMode::Reference`] only as a differential test oracle.
     pub runtime: RuntimeMode,
     /// Arm the per-chip physical-invariant checker
     /// ([`vsmooth_chip::InvariantConfig`]) for the run; any flagged
@@ -117,7 +114,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A small default pool: 4 chips, 2 000-cycle quanta, window 16,
-    /// unbounded admission queue, automatic runtime selection.
+    /// unbounded admission queue, fused-kernel shard runtime.
     pub fn new(chip: ChipConfig) -> Self {
         Self {
             chip,
@@ -126,7 +123,7 @@ impl ServiceConfig {
             pairing_window: 16,
             queue_capacity: None,
             obs: None,
-            runtime: RuntimeMode::Auto,
+            runtime: RuntimeMode::Sharded,
             invariants: false,
             audit: None,
         }
@@ -298,12 +295,9 @@ impl Service {
     }
 
     /// Runs `jobs` to completion under `policy` and reports. `workers`
-    /// sizes the execution backend per
-    /// [`ServiceConfig::runtime`]: with the default
-    /// [`RuntimeMode::Auto`], `workers >= 2` runs one long-lived shard
-    /// worker per count (chips round-robin across shards,
-    /// work-stealing balances skew), while `workers <= 1` advances
-    /// chips in-line on the calling thread.
+    /// sizes the shard pool: one long-lived shard worker per count
+    /// (`workers <= 1` means one shard), chips round-robin across
+    /// shards, work-stealing balances skew.
     ///
     /// # Errors
     ///
@@ -449,25 +443,13 @@ impl Service {
         }
         let obs = self.cfg.obs.as_ref();
         let audit_on = self.cfg.audit.is_some();
-        let sharded = match self.cfg.runtime {
-            RuntimeMode::Auto => workers >= 2,
-            RuntimeMode::Coordinator => false,
-            RuntimeMode::Sharded => true,
-        };
+        let shards = workers.max(1);
+        let fast = self.cfg.runtime.fast_kernel();
         // The live introspection scoreboard: shards, cells, pump and
         // decision loop all feed it; only the per-shard obs snapshot
         // section reads it (never the deterministic report).
-        let stats = Arc::new(RuntimeStats::new(
-            if sharded { workers.max(1) } else { 1 },
-            self.cfg.chips,
-        ));
-        // Per-shard streaming telemetry: shards build their own slice
-        // spans and stream them through bounded rings the merge layer
-        // stitches (or re-synthesizes on drop) in `(epoch, chip)`
-        // order. Only worth arming when there is a tracer to feed.
-        let streams = (sharded && tracer.is_enabled())
-            .then(|| Arc::new(ShardStreams::new(workers.max(1), DEFAULT_SHARD_RING)));
-        let mut cells = self.build_pool(sharded)?;
+        let stats = Arc::new(RuntimeStats::new(shards, self.cfg.chips));
+        let mut cells = self.build_pool(fast)?;
         if tracer.is_enabled() {
             tracer.process_name(PID_JOBS, "jobs");
             for c in 0..self.cfg.chips {
@@ -518,20 +500,15 @@ impl Service {
                 || obs.is_some(),
             windows: profiler.is_some(),
             invariants: self.cfg.invariants,
-            stream_spans: streams.is_some(),
         };
-        let mut backend = if sharded {
-            Backend::sharded(
-                cells,
-                workers.max(1),
-                Arc::clone(&stats),
-                streams.clone(),
-                self.cfg.slice_cycles,
-                drain,
-            )
-        } else {
-            Backend::inline(cells, Arc::clone(&stats), self.cfg.slice_cycles, drain)
-        };
+        let mut pool = ShardPool::new(
+            cells,
+            shards,
+            fast,
+            Arc::clone(&stats),
+            self.cfg.slice_cycles,
+            drain,
+        );
         let mut merge = Merge::new(
             &metrics,
             tracer,
@@ -539,8 +516,6 @@ impl Service {
             monitor,
             obs,
             Arc::clone(&stats),
-            streams.clone(),
-            sharded,
             self.cfg.audit.as_ref(),
             self.cfg.chips,
             self.cfg.slice_cycles,
@@ -591,9 +566,9 @@ impl Service {
                             });
                         }
                         script.push(rec);
-                        backend.wait_through(epochs)?;
+                        pool.wait_through(epochs)?;
                         for r in &script[merged as usize..] {
-                            drive_epoch(&mut merge, &mut backend, r)?;
+                            drive_epoch(&mut merge, &mut pool, r)?;
                         }
                         return Err(ServeError::QueueOverflow {
                             capacity,
@@ -629,9 +604,9 @@ impl Service {
                 // the merge through every prior epoch first, so the
                 // pairing scores see exactly the observations the
                 // historical loop would have folded by now.
-                backend.wait_through(epochs)?;
+                pool.wait_through(epochs)?;
                 while merged < epochs {
-                    drive_epoch(&mut merge, &mut backend, &script[merged as usize])?;
+                    drive_epoch(&mut merge, &mut pool, &script[merged as usize])?;
                     merged += 1;
                 }
                 self.place(
@@ -640,7 +615,7 @@ impl Service {
                     merge.book(),
                     policy,
                     &mut rec,
-                    &mut backend,
+                    &pool,
                 )?;
             }
             for (chip, shadow) in shadows.iter_mut().enumerate() {
@@ -701,7 +676,7 @@ impl Service {
                 busy_chips.len() as u64,
                 std::sync::atomic::Ordering::Relaxed,
             );
-            backend.grant(epochs, now, &busy_chips)?;
+            pool.grant(epochs, &busy_chips);
             rec.queue_depth_after = ready.len();
             rec.running_after = shadows.iter().map(ShadowChip::occupied).sum();
             script.push(rec);
@@ -715,11 +690,9 @@ impl Service {
             epochs += 1;
             // Opportunistic merge: replay every epoch whose logs are
             // already in. Keeps obs publishes flowing while shards
-            // work, bounds retained logs, and — on the in-line
-            // backend, where logs are always ready — runs the merge in
-            // exact lockstep with the historical loop.
-            while merged < epochs && backend.ready_through(merged + 1)? {
-                drive_epoch(&mut merge, &mut backend, &script[merged as usize])?;
+            // work and bounds retained logs.
+            while merged < epochs && pool.ready_through(merged + 1)? {
+                drive_epoch(&mut merge, &mut pool, &script[merged as usize])?;
                 merged += 1;
             }
             if let Some(oc) = obs {
@@ -728,12 +701,12 @@ impl Service {
                 }
             }
         }
-        backend.wait_through(epochs)?;
+        pool.wait_through(epochs)?;
         while merged < epochs {
-            drive_epoch(&mut merge, &mut backend, &script[merged as usize])?;
+            drive_epoch(&mut merge, &mut pool, &script[merged as usize])?;
             merged += 1;
         }
-        let cells = backend.finish()?;
+        let cells = pool.finish()?;
         merge.finalize(
             cells,
             policy.name(),
@@ -744,16 +717,17 @@ impl Service {
         )
     }
 
-    fn build_pool(&self, fast_warmup: bool) -> Result<Vec<ChipCell>, ServeError> {
+    /// Builds and warms up the chip cells; `fast` warms up through
+    /// the same kernel the shards will step.
+    fn build_pool(&self, fast: bool) -> Result<Vec<ChipCell>, ServeError> {
         (0..self.cfg.chips)
             .map(|chip_idx| {
                 let chip = Chip::new(self.cfg.chip.clone())?;
                 let seed = |core: usize| (chip_idx * 2 + core) as u64;
-                // The shard backend warms up through the fused kernel
-                // (bit-identical to the reference warmup, enforced by
-                // the fastpath tests); the in-line backend keeps the
-                // historical reference warmup literally.
-                let session = if fast_warmup {
+                // The fused-kernel warmup is bit-identical to the
+                // reference warmup (enforced by the fastpath tests);
+                // the reference runtime keeps the latter literally.
+                let session = if fast {
                     let mut w0 = IdleLoop::new(seed(0));
                     let mut w1 = IdleLoop::new(seed(1));
                     ChipSession::begin_fast(
@@ -783,7 +757,7 @@ impl Service {
     /// partnerless leftover run solo rather than hold a core idle.
     ///
     /// Decisions mutate only the occupancy shadow; the chosen streams
-    /// are shipped to the backend as `AddJob` commands and the
+    /// are shipped to the shard pool as `AddJob` commands and the
     /// placements recorded for the merge layer's replay.
     fn place(
         &self,
@@ -792,7 +766,7 @@ impl Service {
         book: &TelemetryBook,
         policy: &dyn PairPolicy,
         rec: &mut EpochRec,
-        backend: &mut Backend,
+        pool: &ShardPool,
     ) -> Result<(), ServeError> {
         // 1. Half-empty chips: match the running job with its best
         //    available partner.
@@ -812,7 +786,7 @@ impl Service {
                 }
             }
             let job = ready.remove(best.0).expect("index in window");
-            self.start_job(shadow, chip_idx, job, "pair_resident", rec, backend)?;
+            self.start_job(shadow, chip_idx, job, "pair_resident", rec, pool)?;
         }
         // 2. Empty chips: best pair within the window.
         for (chip_idx, shadow) in shadows.iter_mut().enumerate() {
@@ -837,8 +811,8 @@ impl Service {
             // Remove the later index first so the earlier stays valid.
             let second = ready.remove(best.1).expect("index in window");
             let first = ready.remove(best.0).expect("index in window");
-            self.start_job(shadow, chip_idx, first, "best_pair", rec, backend)?;
-            self.start_job(shadow, chip_idx, second, "best_pair", rec, backend)?;
+            self.start_job(shadow, chip_idx, first, "best_pair", rec, pool)?;
+            self.start_job(shadow, chip_idx, second, "best_pair", rec, pool)?;
         }
         // 3. A single leftover with a free chip runs solo.
         if let Some((chip_idx, shadow)) = shadows
@@ -848,7 +822,7 @@ impl Service {
         {
             if ready.len() == 1 {
                 let job = ready.pop_front().expect("one job");
-                self.start_job(shadow, chip_idx, job, "solo", rec, backend)?;
+                self.start_job(shadow, chip_idx, job, "solo", rec, pool)?;
             }
         }
         Ok(())
@@ -861,7 +835,7 @@ impl Service {
         spec: JobSpec,
         reason: &'static str,
         rec: &mut EpochRec,
-        backend: &mut Backend,
+        pool: &ShardPool,
     ) -> Result<(), ServeError> {
         let workload = by_name(&spec.workload)
             .ok_or_else(|| ServeError::UnknownWorkload(spec.workload.clone()))?;
@@ -874,12 +848,11 @@ impl Service {
             .iter()
             .position(Option::is_none)
             .expect("free core");
-        backend.add_job(
+        pool.add_job(
             chip_idx,
             core,
             CellJob {
                 id: spec.id,
-                workload: spec.workload.clone(),
                 stream,
             },
         );
@@ -908,25 +881,16 @@ impl Service {
     }
 }
 
-/// Replays one epoch: collects the epoch's slice logs from the backend
+/// Replays one epoch: collects the epoch's slice logs from the pool
 /// (in `rec.busy`'s chip order — the caller must have established
 /// availability) and hands them to the merge layer.
-fn drive_epoch(merge: &mut Merge, backend: &mut Backend, rec: &EpochRec) -> Result<(), ServeError> {
+fn drive_epoch(merge: &mut Merge, pool: &mut ShardPool, rec: &EpochRec) -> Result<(), ServeError> {
     let logs: Vec<SliceLog> = rec
         .busy
         .iter()
-        .map(|b| backend.take_log(rec.index, b.chip))
+        .map(|b| pool.take_log(rec.index, b.chip))
         .collect();
-    // Shard-streamed slice spans, where they arrived: one optional
-    // buffer per busy chip, in the same order as `logs`. Missing
-    // entries (inline backend, streaming off, or ring drop) are
-    // re-synthesized by the merge layer from the epoch record.
-    let spans = rec
-        .busy
-        .iter()
-        .map(|b| backend.take_spans(rec.index, b.chip))
-        .collect();
-    merge.replay(rec, &logs, spans)
+    merge.replay(rec, &logs)
 }
 
 #[cfg(test)]
@@ -1235,10 +1199,10 @@ mod tests {
         assert!(status.done);
         assert_eq!(status.jobs_completed, observed.jobs_completed as u64);
         assert_eq!(status.droops, observed.droops);
-        // A sharded run publishes the live introspection section, and
-        // its per-shard slice tallies reconcile exactly with the
+        // Every run publishes the live introspection section, and its
+        // per-shard slice tallies reconcile exactly with the
         // deterministic slice counter.
-        let shards = last.shards.as_ref().expect("sharded run publishes /shards");
+        let shards = last.shards.as_ref().expect("every run publishes /shards");
         assert_eq!(
             shards
                 .shards

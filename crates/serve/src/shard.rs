@@ -1,20 +1,24 @@
-//! Execution backends for the service: chips packaged as
-//! self-contained cells, advanced either in-line on the coordinator
-//! thread (the reference backend) or by a pool of long-lived shard
-//! workers (the throughput backend).
+//! The service's execution backend: chips packaged as self-contained
+//! cells, advanced by a pool of long-lived shard workers with
+//! per-shard token queues and work-stealing.
 //!
-//! Both backends consume the same command stream ([`CellCmd`]) and
-//! produce the same logs ([`SliceLog`]); the merge layer cannot tell
-//! them apart — which is exactly the differential oracle
-//! `tests/shard_equivalence.rs` enforces. The shard backend advances
-//! busy chips through the fused chip kernel
-//! ([`ChipSession::run_slice_fast`], bit-identical to the reference
-//! loop with every armed channel — crossings, waveform windows, the
-//! invariant checker — captured inside it; only a chip shape the
-//! kernel is not specialized for runs the reference loop, counted as
-//! `chip_kernel_fallback_slices_total{reason="shape"}`); the in-line
-//! backend keeps the historical dyn-dispatch reference loop as the
-//! differential oracle.
+//! Shards drain the decision loop's command stream ([`CellCmd`]) and
+//! publish one [`SliceLog`] per granted slice; the merge layer orders
+//! logs by `(epoch, chip)`, so which shard ran what is invisible to
+//! every artifact. Under [`RuntimeMode::Sharded`] busy chips advance
+//! through the fused chip kernel ([`ChipSession::run_slice_fast`],
+//! bit-identical to the reference loop with every armed channel —
+//! crossings, waveform windows, the invariant checker — captured
+//! inside it; only a chip shape the kernel is not specialized for runs
+//! the reference loop, counted as
+//! `chip_kernel_fallback_slices_total{reason="shape"}`). Under
+//! [`RuntimeMode::Reference`] the same pool warms up through
+//! [`ChipSession::begin`] and steps the dyn-dispatch reference loop
+//! ([`ChipSession::run_slice`]) — the differential oracle
+//! `tests/shard_equivalence.rs` holds the fused kernel to.
+//!
+//! [`RuntimeMode::Sharded`]: crate::RuntimeMode::Sharded
+//! [`RuntimeMode::Reference`]: crate::RuntimeMode::Reference
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -25,13 +29,11 @@ use crate::control::{CellCmd, CellJob, EventBus, ShardEvent, SliceLog, TokenBoar
 use crate::introspect::RuntimeStats;
 use crate::ServeError;
 use vsmooth_chip::{ChipError, ChipSession, SliceStats};
-use vsmooth_trace::{chip_pid, ArgValue, ShardStreams, TaggedBundle, TraceBuffer};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 
 /// One pool member: a warmed-up measurement session plus whatever is
 /// running on its two cores. Cells own their chips end-to-end; only
-/// the executing context (coordinator or one shard at a time) touches
-/// them.
+/// one shard at a time (under the cell lock) touches them.
 #[derive(Debug)]
 pub(crate) struct ChipCell {
     pub session: ChipSession,
@@ -115,7 +117,7 @@ impl ChipCell {
     }
 }
 
-/// Which per-slice channels executors must drain into [`SliceLog`]s.
+/// Which per-slice channels shards must drain into [`SliceLog`]s.
 /// Mirrors the session arming the service configured, so logs carry
 /// exactly what the merge layer will consume.
 #[derive(Debug, Clone, Copy, Default)]
@@ -123,41 +125,6 @@ pub(crate) struct DrainPlan {
     pub crossings: bool,
     pub windows: bool,
     pub invariants: bool,
-    /// Whether shards build each slice's trace spans locally and
-    /// stream them through the per-shard ring (tracer enabled on the
-    /// sharded backend). The merge layer stitches the bundles into the
-    /// global stream — or resynthesizes identical records when a full
-    /// ring dropped one — so this flag never changes a single exported
-    /// byte.
-    pub stream_spans: bool,
-}
-
-/// Builds the per-slice trace spans of one busy chip: one `slice` span
-/// per resident core, in core order, named after the workload.
-///
-/// This is THE span builder — the shard streaming path and the merge
-/// layer's synthesis fallback both call it, so the two byte streams
-/// cannot drift apart (and `Merge::replay` debug-asserts they agree
-/// record for record).
-pub(crate) fn slice_span_buffer<'a>(
-    chip: usize,
-    now: u64,
-    cycles: u64,
-    residents: impl Iterator<Item = (usize, &'a str, u64)>,
-) -> TraceBuffer {
-    let mut buf = TraceBuffer::new();
-    for (core, workload, job) in residents {
-        buf.span(
-            workload,
-            "slice",
-            chip_pid(chip),
-            core as u64,
-            now,
-            cycles,
-            vec![("job", ArgValue::from(job))],
-        );
-    }
-    buf
 }
 
 /// The `(shard, seq, epoch, chip)` identity stamped onto one executed
@@ -170,21 +137,20 @@ struct SliceTag {
     chip: usize,
 }
 
-/// Runs one granted slice on `cell` and packages the log. Shared by
-/// both backends; `fast` selects the kernel.
+/// Runs one granted slice on `cell` through the pool's kernel and
+/// packages the log.
 fn exec_slice(
     cell: &mut ChipCell,
-    fast: bool,
+    shared: &PoolShared,
     tag: SliceTag,
-    cycles: u64,
-    drain: DrainPlan,
 ) -> Result<SliceLog, ChipError> {
     let session_start = cell.session.measured_cycles();
-    let stats = if fast {
-        cell.run_fast_slice(cycles)?
+    let stats = if shared.fast {
+        cell.run_fast_slice(shared.slice_cycles)?
     } else {
-        cell.run_reference_slice(cycles)?
+        cell.run_reference_slice(shared.slice_cycles)?
     };
+    let drain = shared.drain;
     let crossings = if drain.crossings {
         cell.session.take_droop_crossings()
     } else {
@@ -215,7 +181,7 @@ fn exec_slice(
     })
 }
 
-/// State shared between the coordinator and the shard workers.
+/// State shared between the decision loop and the shard workers.
 #[derive(Debug)]
 struct PoolShared {
     cells: Vec<Mutex<CellSlot>>,
@@ -227,10 +193,8 @@ struct PoolShared {
     /// determinism-pinned metrics are recorded by the merge layer,
     /// never here.
     stats: Arc<RuntimeStats>,
-    /// Per-shard bounded rings carrying shard-built slice-span
-    /// bundles to the merge layer; `Some` exactly when
-    /// [`DrainPlan::stream_spans`] is set.
-    streams: Option<Arc<ShardStreams>>,
+    /// Whether shards step the fused kernel (else the reference loop).
+    fast: bool,
     slice_cycles: u64,
     drain: DrainPlan,
 }
@@ -243,7 +207,7 @@ struct CellSlot {
 }
 
 /// Rings the exit doorbell however the shard leaves `shard_main`,
-/// panic included, so the coordinator never blocks on a dead pool.
+/// panic included, so the decision loop never blocks on a dead pool.
 struct ExitBell<'a>(&'a EventBus);
 
 impl Drop for ExitBell<'_> {
@@ -270,20 +234,7 @@ fn shard_main(me: usize, shared: &PoolShared) {
                     );
                     slot.cell.cores[core] = Some(job);
                 }
-                CellCmd::Grant { epoch, now } => {
-                    // Residents must be captured before the slice runs:
-                    // `exec_slice` pops finished jobs, and the spans
-                    // are labeled with whoever was on-core *during*
-                    // the quantum.
-                    let residents: [Option<(String, u64)>; 2] = if shared.drain.stream_spans {
-                        let mut r = [None, None];
-                        for (core, resident) in slot.cell.cores.iter().enumerate() {
-                            r[core] = resident.as_ref().map(|j| (j.workload.clone(), j.id));
-                        }
-                        r
-                    } else {
-                        [None, None]
-                    };
+                CellCmd::Grant { epoch } => {
                     let tag = SliceTag {
                         shard: me,
                         seq,
@@ -291,37 +242,13 @@ fn shard_main(me: usize, shared: &PoolShared) {
                         chip,
                     };
                     let fallbacks_before = slot.cell.session.kernel_fallback_slices();
-                    let outcome =
-                        exec_slice(&mut slot.cell, true, tag, shared.slice_cycles, shared.drain);
-                    match outcome {
+                    match exec_slice(&mut slot.cell, shared, tag) {
                         Ok(log) => {
                             shared.stats.record_slice(me, token.stolen);
                             shared.stats.kernel_fallback_shape.fetch_add(
                                 slot.cell.session.kernel_fallback_slices() - fallbacks_before,
                                 Ordering::Relaxed,
                             );
-                            if let Some(streams) = &shared.streams {
-                                let records = slice_span_buffer(
-                                    chip,
-                                    now,
-                                    log.stats.cycles,
-                                    residents.iter().enumerate().filter_map(|(c, r)| {
-                                        r.as_ref().map(|(w, id)| (c, w.as_str(), *id))
-                                    }),
-                                );
-                                // Offer before publishing the log: the
-                                // merge layer only looks for a bundle
-                                // once the log has arrived, so this
-                                // order guarantees the bundle is
-                                // visible by then (or counted dropped).
-                                streams.offer(TaggedBundle {
-                                    shard: me,
-                                    seq,
-                                    epoch,
-                                    chip,
-                                    records,
-                                });
-                            }
                             seq += 1;
                             let occupancy = shared.bus.publish(me, ShardEvent::Slice(log));
                             shared.stats.shards[me]
@@ -339,8 +266,8 @@ fn shard_main(me: usize, shared: &PoolShared) {
     }
 }
 
-/// The shard-per-worker backend: `shards` long-lived OS threads own
-/// the chip pool end-to-end for the duration of a run.
+/// The shard pool: `shards` long-lived OS threads own the chip pool
+/// end-to-end for the duration of a run.
 #[derive(Debug)]
 pub(crate) struct ShardPool {
     shared: Arc<PoolShared>,
@@ -360,20 +287,19 @@ pub(crate) struct ShardPool {
     /// Chip index → shard that executed its previous slice, for the
     /// ownership-churn introspection counter.
     last_executor: Vec<Option<usize>>,
-    /// Shard-built slice-span bundles pulled off the streaming rings,
-    /// keyed like `received` for the merge layer's stitch.
-    received_spans: BTreeMap<(u64, usize), TraceBuffer>,
     scratch: Vec<ShardEvent>,
-    bundle_scratch: Vec<TaggedBundle>,
     failure: Option<ChipError>,
 }
 
 impl ShardPool {
-    fn new(
+    /// Spawns `shards` workers over `cells`; `fast` picks the kernel
+    /// they step (the cells must have warmed up through the matching
+    /// one).
+    pub(crate) fn new(
         cells: Vec<ChipCell>,
         shards: usize,
+        fast: bool,
         stats: Arc<RuntimeStats>,
-        streams: Option<Arc<ShardStreams>>,
         slice_cycles: u64,
         drain: DrainPlan,
     ) -> Self {
@@ -392,7 +318,7 @@ impl ShardPool {
             tokens: TokenBoard::new(shards),
             bus: EventBus::new(shards),
             stats,
-            streams,
+            fast,
             slice_cycles,
             drain,
         });
@@ -414,9 +340,7 @@ impl ShardPool {
             seen: 0,
             next_seq: vec![0; shards],
             last_executor: vec![None; chips],
-            received_spans: BTreeMap::new(),
             scratch: Vec::new(),
-            bundle_scratch: Vec::new(),
             failure: None,
         }
     }
@@ -426,7 +350,8 @@ impl ShardPool {
         self.shared.stats.cell_queue_hwm[chip].fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    fn add_job(&self, chip: usize, core: usize, job: CellJob) {
+    /// Queues a placement at its chip cell.
+    pub(crate) fn add_job(&self, chip: usize, core: usize, job: CellJob) {
         let depth = {
             let mut slot = self.shared.cells[chip].lock().expect("cell lock");
             slot.cmds.push_back(CellCmd::AddJob { core, job });
@@ -435,11 +360,13 @@ impl ShardPool {
         self.note_queue_depth(chip, depth);
     }
 
-    fn grant(&mut self, epoch: u64, now: u64, busy: &[usize]) {
+    /// Grants `busy` chips one quantum for `epoch`: enqueues grant
+    /// commands and chip tokens.
+    pub(crate) fn grant(&mut self, epoch: u64, busy: &[usize]) {
         for &chip in busy {
             let depth = {
                 let mut slot = self.shared.cells[chip].lock().expect("cell lock");
-                slot.cmds.push_back(CellCmd::Grant { epoch, now });
+                slot.cmds.push_back(CellCmd::Grant { epoch });
                 slot.cmds.len()
             };
             self.note_queue_depth(chip, depth);
@@ -450,11 +377,7 @@ impl ShardPool {
             .push_many(busy.iter().map(|&chip| (self.owner_of[chip], chip)));
     }
 
-    /// Non-blocking: drains the bus into `received` and the streaming
-    /// rings into `received_spans`. The bus drains first — a shard
-    /// offers its span bundle before publishing the matching log, so
-    /// once a log is visible here its bundle is either on the ring or
-    /// already counted as dropped.
+    /// Non-blocking: drains the bus into `received`.
     fn pump(&mut self) -> Result<(), ServeError> {
         self.shared.bus.drain(&mut self.scratch);
         for event in self.scratch.drain(..) {
@@ -478,13 +401,6 @@ impl ShardPool {
                 ShardEvent::Failed { error } => self.failure = Some(error),
             }
         }
-        if let Some(streams) = &self.shared.streams {
-            streams.drain_into(&mut self.bundle_scratch);
-            for bundle in self.bundle_scratch.drain(..) {
-                self.received_spans
-                    .insert((bundle.epoch, bundle.chip), bundle.records);
-            }
-        }
         match self.failure.clone() {
             Some(error) => Err(ServeError::Chip(error)),
             None => Ok(()),
@@ -495,7 +411,8 @@ impl ShardPool {
         !self.outstanding.iter().any(|&(epoch, _)| epoch < bound)
     }
 
-    fn wait_through(&mut self, bound: u64) -> Result<(), ServeError> {
+    /// Blocks until every log for epochs `< bound` has arrived.
+    pub(crate) fn wait_through(&mut self, bound: u64) -> Result<(), ServeError> {
         loop {
             self.pump()?;
             if self.has_through(bound) {
@@ -505,7 +422,24 @@ impl ShardPool {
         }
     }
 
-    fn finish(mut self) -> Result<Vec<ChipCell>, ServeError> {
+    /// Non-blocking: whether every log for epochs `< bound` is in.
+    pub(crate) fn ready_through(&mut self, bound: u64) -> Result<bool, ServeError> {
+        self.pump()?;
+        Ok(self.has_through(bound))
+    }
+
+    /// Hands the merge layer one received log. Panics if absent — the
+    /// caller must have established availability first.
+    pub(crate) fn take_log(&mut self, epoch: u64, chip: usize) -> SliceLog {
+        self.received
+            .remove(&(epoch, chip))
+            .expect("granted slice log available at merge time")
+    }
+
+    /// Shuts the pool down and returns the cells in chip order for
+    /// end-of-run flushing (late-sealing droop windows, measured-cycle
+    /// totals).
+    pub(crate) fn finish(mut self) -> Result<Vec<ChipCell>, ServeError> {
         self.shared.tokens.shutdown();
         for handle in self.handles.drain(..) {
             handle.join().expect("shard worker panicked");
@@ -538,160 +472,6 @@ impl Drop for ShardPool {
             // A worker that panicked already published its exit; don't
             // double-panic while unwinding.
             let _ = handle.join();
-        }
-    }
-}
-
-/// The in-line reference backend: grants execute immediately on the
-/// coordinator thread, so logs are always available and the merge
-/// layer runs in lockstep with the decision loop — the historical
-/// coordinator behavior, preserved as the differential baseline.
-#[derive(Debug)]
-pub(crate) struct InlineExec {
-    cells: Vec<ChipCell>,
-    logs: BTreeMap<(u64, usize), SliceLog>,
-    seq: u64,
-    stats: Arc<RuntimeStats>,
-    slice_cycles: u64,
-    drain: DrainPlan,
-}
-
-/// One run's execution backend; see [`RuntimeMode`](crate::RuntimeMode).
-#[derive(Debug)]
-pub(crate) enum Backend {
-    Inline(InlineExec),
-    Sharded(ShardPool),
-}
-
-impl Backend {
-    pub(crate) fn inline(
-        cells: Vec<ChipCell>,
-        stats: Arc<RuntimeStats>,
-        slice_cycles: u64,
-        drain: DrainPlan,
-    ) -> Self {
-        Self::Inline(InlineExec {
-            cells,
-            logs: BTreeMap::new(),
-            seq: 0,
-            stats,
-            slice_cycles,
-            drain,
-        })
-    }
-
-    pub(crate) fn sharded(
-        cells: Vec<ChipCell>,
-        shards: usize,
-        stats: Arc<RuntimeStats>,
-        streams: Option<Arc<ShardStreams>>,
-        slice_cycles: u64,
-        drain: DrainPlan,
-    ) -> Self {
-        Self::Sharded(ShardPool::new(
-            cells,
-            shards,
-            stats,
-            streams,
-            slice_cycles,
-            drain,
-        ))
-    }
-
-    /// Queues a placement at its chip cell.
-    pub(crate) fn add_job(&mut self, chip: usize, core: usize, job: CellJob) {
-        match self {
-            Self::Inline(exec) => {
-                debug_assert!(exec.cells[chip].cores[core].is_none());
-                exec.cells[chip].cores[core] = Some(job);
-            }
-            Self::Sharded(pool) => pool.add_job(chip, core, job),
-        }
-    }
-
-    /// Grants `busy` chips one quantum for `epoch` starting at virtual
-    /// cycle `now`. In-line: executes immediately. Sharded: enqueues
-    /// grant commands and chip tokens.
-    pub(crate) fn grant(&mut self, epoch: u64, now: u64, busy: &[usize]) -> Result<(), ServeError> {
-        match self {
-            Self::Inline(exec) => {
-                for &chip in busy {
-                    let tag = SliceTag {
-                        shard: 0,
-                        seq: exec.seq,
-                        epoch,
-                        chip,
-                    };
-                    let log = exec_slice(
-                        &mut exec.cells[chip],
-                        false,
-                        tag,
-                        exec.slice_cycles,
-                        exec.drain,
-                    )
-                    .map_err(ServeError::Chip)?;
-                    exec.stats.record_slice(0, false);
-                    exec.seq += 1;
-                    exec.logs.insert((epoch, chip), log);
-                }
-                let _ = now;
-                Ok(())
-            }
-            Self::Sharded(pool) => {
-                pool.grant(epoch, now, busy);
-                Ok(())
-            }
-        }
-    }
-
-    /// Blocks until every log for epochs `< bound` has arrived.
-    pub(crate) fn wait_through(&mut self, bound: u64) -> Result<(), ServeError> {
-        match self {
-            Self::Inline(_) => Ok(()),
-            Self::Sharded(pool) => pool.wait_through(bound),
-        }
-    }
-
-    /// Non-blocking: whether every log for epochs `< bound` is in.
-    pub(crate) fn ready_through(&mut self, bound: u64) -> Result<bool, ServeError> {
-        match self {
-            Self::Inline(_) => Ok(true),
-            Self::Sharded(pool) => {
-                pool.pump()?;
-                Ok(pool.has_through(bound))
-            }
-        }
-    }
-
-    /// Hands the merge layer one received log. Panics if absent — the
-    /// caller must have established availability first.
-    pub(crate) fn take_log(&mut self, epoch: u64, chip: usize) -> SliceLog {
-        let logs = match self {
-            Self::Inline(exec) => &mut exec.logs,
-            Self::Sharded(pool) => &mut pool.received,
-        };
-        logs.remove(&(epoch, chip))
-            .expect("granted slice log available at merge time")
-    }
-
-    /// Hands the merge layer the shard-built slice-span bundle for one
-    /// `(epoch, chip)`, if streaming delivered it. `None` means the
-    /// bundle was ring-dropped (or spans are not streamed at all) and
-    /// the merge layer must synthesize the identical records itself.
-    pub(crate) fn take_spans(&mut self, epoch: u64, chip: usize) -> Option<TraceBuffer> {
-        match self {
-            Self::Inline(_) => None,
-            Self::Sharded(pool) => pool.received_spans.remove(&(epoch, chip)),
-        }
-    }
-
-    /// Shuts the backend down and returns the cells in chip order for
-    /// end-of-run flushing (late-sealing droop windows, measured-cycle
-    /// totals).
-    pub(crate) fn finish(self) -> Result<Vec<ChipCell>, ServeError> {
-        match self {
-            Self::Inline(exec) => Ok(exec.cells),
-            Self::Sharded(pool) => pool.finish(),
         }
     }
 }

@@ -18,8 +18,9 @@ use crate::event::{ArgValue, Args, TraceRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out`, escaped for inclusion in a JSON string
+/// literal.
+pub(crate) fn escape_json_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -35,9 +36,22 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
     }
 }
 
+/// `s` escaped for inclusion in a JSON string literal: the string
+/// escaper every vsmooth JSON artifact shares.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_json_into(s, &mut out);
+    out
+}
+
+/// A float at the artifact-wide fixed precision of four decimals.
+pub fn json_f64(x: f64) -> String {
+    format!("{x:.4}")
+}
+
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     let _ = write!(out, "\"{key}\":\"");
-    escape_json(value, out);
+    escape_json_into(value, out);
     out.push('"');
 }
 
@@ -571,5 +585,14 @@ mod tests {
         let json = Tracer::enabled().to_chrome_json();
         let shape = validate_chrome_trace(&json).unwrap();
         assert_eq!(shape.events, 0);
+    }
+
+    #[test]
+    fn shared_helpers_escape_and_fix_precision() {
+        assert_eq!(escape_json("a\"b\\c\nd\re"), "a\\\"b\\\\c\\nd\\re");
+        assert_eq!(escape_json("\u{01}"), "\\u0001");
+        assert_eq!(escape_json("plain"), "plain");
+        assert_eq!(json_f64(1.0), "1.0000");
+        assert_eq!(json_f64(-0.12345), "-0.1235");
     }
 }

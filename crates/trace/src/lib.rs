@@ -52,7 +52,6 @@
 pub mod audit;
 pub mod event;
 pub mod export;
-pub mod shard_stream;
 pub mod stream;
 pub mod tracer;
 
@@ -60,8 +59,10 @@ pub use audit::{DecisionEvent, DecisionKind, AUDIT_SCHEMA};
 pub use event::{
     chip_pid, ArgValue, Args, DroopEvent, TraceRecord, PID_CAMPAIGN, PID_JOBS, PID_MONITOR,
 };
-pub use export::{chrome_trace_json, parse_json, validate_chrome_trace, JsonValue, TraceShape};
-pub use shard_stream::{ShardLaneStats, ShardStreams, TaggedBundle, DEFAULT_SHARD_RING};
+pub use export::{
+    chrome_trace_json, escape_json, json_f64, parse_json, validate_chrome_trace, JsonValue,
+    TraceShape,
+};
 pub use stream::{
     ChromeJsonSink, DropReason, SamplerConfig, SinkStats, StreamConfig, TelemetryStats, TraceSink,
 };

@@ -4,7 +4,7 @@
 //! The monitored staged-degradation scenario of `monitor_demo` (quiet
 //! lead-in, 482.sphinx3 burst, quiet tail) runs with an embedded
 //! scrape server attached on an ephemeral loopback port. While the
-//! jobs execute the coordinator publishes a snapshot every epoch, and
+//! jobs execute the service publishes a snapshot every epoch, and
 //! the demo proves the serving contract end to end:
 //!
 //! * `/healthz` flips 200 → 503 when the recovery-budget burn-rate
@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cfg.chips = 2;
     cfg.slice_cycles = 600;
 
-    // The transition probe: after each publish (the coordinator blocks
+    // The transition probe: after each publish (the decision loop blocks
     // in this hook, so /healthz reads exactly the snapshot just
     // published) scrape /healthz whenever the paging state changed.
     let transitions: Arc<Mutex<Vec<u16>>> = Arc::new(Mutex::new(Vec::new()));
@@ -181,21 +181,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(returned > 0.0, "the burst must leave recent droops behind");
 
-    // The sharded runtime (2 workers) published its live introspection
-    // section: per-shard owned/stolen slice splits, stream-ring
-    // accounting, queue depths, merge lag.
+    // The shard runtime (2 workers) published its live introspection
+    // section: per-shard owned/stolen slice splits, queue depths,
+    // merge lag.
     let shards = http_get(addr, "/shards")?;
     let doc = parse_json(&shards.body).map_err(|e| format!("shards JSON: {e}"))?;
     assert_eq!(
         doc.get("schema").and_then(|v| v.as_str()),
-        Some("vsmooth-obs-shards-v1")
+        Some("vsmooth-obs-shards-v2")
     );
     let sections = doc
         .get("shards")
         .and_then(|v| v.as_array())
         .ok_or("shards array missing")?;
     println!(
-        "GET /shards -> {} ({} shard sections, schema vsmooth-obs-shards-v1)",
+        "GET /shards -> {} ({} shard sections, schema vsmooth-obs-shards-v2)",
         shards.status,
         sections.len()
     );

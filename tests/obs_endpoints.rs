@@ -5,7 +5,7 @@
 //! after resolve hysteresis), and hostile requests must be answered
 //! with 400/404 without killing the accept loop.
 //!
-//! Mid-run scrapes ride the `on_publish` hook: the coordinator blocks
+//! Mid-run scrapes ride the `on_publish` hook: the decision loop blocks
 //! in the hook right after swapping the snapshot in, so what the
 //! endpoints serve at that instant is exactly the snapshot just
 //! published — a deterministic observation, not a wall-clock race.
@@ -248,7 +248,7 @@ fn shards_and_decisions_endpoints_serve_live_sections_at_every_shard_count() {
             .clone()
             .expect("epoch 40 must publish");
 
-        // vsmooth-obs-shards-v1: one section per shard worker, live.
+        // vsmooth-obs-shards-v2: one section per shard worker, live.
         let doc = parse_json(&shards_body).expect("shards JSON parses");
         assert_eq!(
             doc.get("schema").and_then(|v| v.as_str()),
@@ -295,20 +295,32 @@ fn shards_and_decisions_endpoints_serve_live_sections_at_every_shard_count() {
         server.shutdown();
     }
 
-    // A coordinator run has no shard runtime: /shards answers 404
-    // while every other endpoint keeps serving.
+    // A one-worker run on the default config is a one-shard pool: the
+    // final /shards has exactly one section, which executed every slice.
     let server = ObsServer::bind("127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr();
     let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
     cfg.chips = 2;
     cfg.slice_cycles = 600;
     cfg.obs = Some(ObsConfig::new(server.hub()));
-    Service::new(cfg)
+    let report = Service::new(cfg)
         .expect("valid config")
         .run(&degradation_jobs()[..4], &SameWorkload, 1)
-        .expect("coordinator run");
+        .expect("one-worker run");
     assert_eq!(http_get(addr, "/status").expect("probe").status, 200);
-    assert_eq!(http_get(addr, "/shards").expect("probe").status, 404);
+    let shards = http_get(addr, "/shards").expect("probe");
+    assert_eq!(shards.status, 200);
+    let doc = parse_json(&shards.body).expect("shards JSON parses");
+    let sections = doc
+        .get("shards")
+        .and_then(|v| v.as_array())
+        .expect("shards array");
+    assert_eq!(sections.len(), 1, "one worker runs one shard");
+    let slices = |key: &str| sections[0].get(key).and_then(|v| v.as_f64()).expect(key);
+    assert_eq!(
+        slices("slices_owned") + slices("slices_stolen"),
+        report.snapshot.counter("serve_slices_total") as f64
+    );
     server.shutdown();
 }
 

@@ -1,8 +1,10 @@
-//! Tier-1 differential oracle for the shard-per-worker runtime: every
-//! artifact the service produces must be byte-identical between the
-//! single-threaded coordinator backend and the sharded backend at 1,
-//! 2, 4 and 8 shards — same seeded job stream, same policy, same
-//! config, only [`RuntimeMode`] varies.
+//! Tier-1 differential oracle for the fused chip kernel: every artifact
+//! the service produces must be byte-identical between a one-shard
+//! [`RuntimeMode::Reference`] pool (the reference cycle loop) and the
+//! production [`RuntimeMode::Sharded`] pool at 1, 2, 4 and 8 shards —
+//! same seeded job stream, same policy, same config, only the runtime
+//! mode and shard count vary. (Test names keep their historical
+//! "coordinator" wording for the reference side.)
 //!
 //! Six artifact classes are pinned:
 //!
@@ -18,9 +20,9 @@
 //!
 //! The single documented exception is `ObsSnapshot::shards`: the
 //! per-shard introspection section is live execution state
-//! (work-stealing splits, queue depths, wall latency) and published
-//! only by the shard runtime. Its slice tallies must still *sum* to
-//! `serve_slices_total` at the final publish.
+//! (work-stealing splits, queue depths, wall latency). Its slice
+//! tallies must still *sum* to `serve_slices_total` at the final
+//! publish.
 
 use std::sync::{Arc, Mutex};
 
@@ -52,7 +54,7 @@ fn jobs(seed: u64) -> Vec<JobSpec> {
 #[test]
 fn service_reports_match_coordinator_at_every_shard_count() {
     let jobs = jobs(0xA11CE);
-    let reference = Service::new(config(RuntimeMode::Coordinator))
+    let reference = Service::new(config(RuntimeMode::Reference))
         .unwrap()
         .run(&jobs, &OnlineDroop, 1)
         .unwrap();
@@ -82,7 +84,7 @@ fn trace_json_matches_coordinator_at_every_shard_count() {
             .unwrap();
         tracer.to_chrome_json()
     };
-    let reference = run(RuntimeMode::Coordinator, 1);
+    let reference = run(RuntimeMode::Reference, 1);
     assert!(reference.contains("traceEvents"));
     for shards in SHARD_COUNTS {
         assert_eq!(
@@ -109,7 +111,7 @@ fn profile_json_matches_coordinator_at_every_shard_count() {
             .unwrap();
         (report, profile.to_json())
     };
-    let (reference_report, reference_json) = run(RuntimeMode::Coordinator, 1);
+    let (reference_report, reference_json) = run(RuntimeMode::Reference, 1);
     assert!(reference_json.contains("vsmooth-profile-v1"));
     for shards in SHARD_COUNTS {
         let (report, json) = run(RuntimeMode::Sharded, shards);
@@ -136,7 +138,7 @@ fn health_json_matches_coordinator_at_every_shard_count() {
             )
             .unwrap()
     };
-    let (reference_report, reference_health) = run(RuntimeMode::Coordinator, 1);
+    let (reference_report, reference_health) = run(RuntimeMode::Reference, 1);
     for shards in SHARD_COUNTS {
         let (report, health) = run(RuntimeMode::Sharded, shards);
         assert_eq!(reference_report, report, "report diverged at {shards}");
@@ -184,7 +186,7 @@ fn observed_snapshots(runtime: RuntimeMode, workers: usize, jobs: &[JobSpec]) ->
 #[test]
 fn obs_snapshot_stream_matches_coordinator_at_every_shard_count() {
     let jobs = jobs(0xFEED);
-    let reference = observed_snapshots(RuntimeMode::Coordinator, 1, &jobs);
+    let reference = observed_snapshots(RuntimeMode::Reference, 1, &jobs);
     assert!(reference.len() > 2, "expected several periodic publishes");
     for shards in SHARD_COUNTS {
         let sharded = observed_snapshots(RuntimeMode::Sharded, shards, &jobs);
@@ -214,8 +216,8 @@ fn obs_snapshot_stream_matches_coordinator_at_every_shard_count() {
             );
         }
         // The live introspection section is the documented exception:
-        // published only by the shard runtime, but its slice tallies
-        // at the final (done) publish are pinned by the slice counter.
+        // execution state, but its slice tallies at the final (done)
+        // publish are pinned by the slice counter.
         let last = sharded.last().unwrap();
         assert!(last.service.as_ref().unwrap().done);
         let section = last.shards.as_ref().expect("shard runtime publishes");
@@ -242,7 +244,7 @@ fn audit_artifact_matches_coordinator_at_every_shard_count() {
             .run(&jobs, &OnlineDroop, workers)
             .unwrap()
     };
-    let reference = run(RuntimeMode::Coordinator, 1);
+    let reference = run(RuntimeMode::Reference, 1);
     let reference_audit = reference.audit.as_ref().expect("audit armed");
     assert!(reference_audit.total > 0, "expected recorded decisions");
     let reference_json = reference_audit.to_json();
@@ -263,15 +265,15 @@ fn audit_artifact_matches_coordinator_at_every_shard_count() {
 
 proptest! {
     /// Seeded property: whatever job stream the generator draws, the
-    /// sharded runtime's report and rendered bytes match the
-    /// coordinator's. Case count is pinned by `PROPTEST_CASES`.
+    /// sharded runtime's report and rendered bytes match the reference
+    /// oracle's. Case count is pinned by `PROPTEST_CASES`.
     #[test]
     fn seeded_job_streams_agree_across_backends(
         seed in 0u64..u64::MAX,
         shards in sample::select([2usize, 4, 8]),
     ) {
         let jobs = gen_job_stream(&mut TestRng::new(seed), 8, 1_100);
-        let reference = Service::new(config(RuntimeMode::Coordinator))
+        let reference = Service::new(config(RuntimeMode::Reference))
             .unwrap()
             .run(&jobs, &OnlineDroop, 1)
             .unwrap();

@@ -11,14 +11,14 @@
 //!   one chip is busy and its owner's queue is the only non-empty one.
 //!
 //! The invariant-checked variant additionally arms the vsmooth-chip
-//! physical-invariant checker on every cell (which also forces the
-//! shards through the reference cycle loop, covering both kernels).
+//! physical-invariant checker on every cell; the fused kernel checks
+//! it in-kernel, and the reference oracle in its cycle loop.
 //!
 //! Conservation is the oracle: no job is lost or duplicated under
 //! stealing — admitted == completed == submitted, completed ids are
 //! exactly the submitted ids, executed cycles reconcile with the
-//! slice counters, and the whole report still matches the coordinator
-//! byte for byte.
+//! slice counters, and the whole report still matches a one-shard
+//! `RuntimeMode::Reference` run byte for byte.
 
 use std::collections::BTreeSet;
 
@@ -88,7 +88,7 @@ fn assert_conserved(jobs: &[JobSpec], report: &ServiceReport) {
 fn hot_burst_under_eight_shards_conserves_every_job() {
     for seed in [1u64, 2, 3] {
         let jobs = hot_burst(seed, 24);
-        let reference = Service::new(config(3, false, RuntimeMode::Coordinator))
+        let reference = Service::new(config(3, false, RuntimeMode::Reference))
             .unwrap()
             .run(&jobs, &OnlineDroop, 1)
             .unwrap();
@@ -107,7 +107,7 @@ fn hot_burst_under_eight_shards_conserves_every_job() {
 fn trickle_stream_under_eight_shards_conserves_every_job() {
     for seed in [11u64, 12] {
         let jobs = gen_job_stream(&mut TestRng::new(seed), 16, 2_500);
-        let reference = Service::new(config(8, false, RuntimeMode::Coordinator))
+        let reference = Service::new(config(8, false, RuntimeMode::Reference))
             .unwrap()
             .run(&jobs, &OnlineDroop, 1)
             .unwrap();
@@ -173,13 +173,13 @@ fn shard_slice_tallies_reconcile_with_the_slice_counter_under_stealing() {
 #[test]
 fn invariant_checked_stress_run_is_clean_and_conserved() {
     let jobs = hot_burst(7, 18);
-    // The checker rides along on every cell (and pushes the shards
-    // onto the reference cycle loop); a healthy run must produce zero
-    // violations and the exact coordinator artifacts.
-    let reference = Service::new(config(3, true, RuntimeMode::Coordinator))
+    // The checker rides along on every cell (inside the fused kernel
+    // on the sharded side); a healthy run must produce zero violations
+    // and the exact reference-oracle artifacts.
+    let reference = Service::new(config(3, true, RuntimeMode::Reference))
         .unwrap()
         .run(&jobs, &OnlineDroop, 1)
-        .expect("invariant checker must stay quiet on the coordinator");
+        .expect("invariant checker must stay quiet on the reference oracle");
     let sharded = Service::new(config(3, true, RuntimeMode::Sharded))
         .unwrap()
         .run(&jobs, &OnlineDroop, SHARDS)

@@ -118,7 +118,7 @@ fn streaming_bytes_match_the_batch_exporter_at_every_worker_count() {
 fn obs_recent_ring_never_drains_the_streaming_exporter() {
     // The obs hub's /trace/recent ring and the streaming trace sink
     // both want droop records. They must be fed independently: the
-    // coordinator clones crossings into the obs ring, it never pops
+    // merge layer clones crossings into the obs ring, it never pops
     // them out of the Tracer. Attaching a hub to an otherwise
     // identical run must therefore leave the streamed bytes — and all
     // the pipeline accounting — untouched, while the ring still fills.
