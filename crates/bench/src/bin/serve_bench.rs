@@ -13,7 +13,9 @@
 //! `ROUNDS` runs of an identical job stream, plus the median per-pair
 //! overhead ratio of each armed instrument over interleaved plain runs
 //! (including a `profiled_sharded` row: profiled vs plain, both on the
-//! sharded runtime at one shard per host core, the bounded-memory
+//! sharded runtime at one shard per host core, and a
+//! `profiled_obs_sharded` row: the same pair with an obs hub on the
+//! profiled side publishing `/profile` every epoch), the bounded-memory
 //! streaming trace pipeline and an
 //! `obs_scrape_under_load` row: a monitored run publishing into a live
 //! scrape server hammered by a loopback `/metrics` client, against the
@@ -29,8 +31,8 @@
 //! `obs_scrape_under_load` rows — runs a one-shard
 //! `RuntimeMode::Reference` service, the reference cycle loop these
 //! rows have always measured; the 2/4/8-worker rows,
-//! `profiled_sharded` and `introspection` run the production
-//! `RuntimeMode::Sharded` pool.
+//! `profiled_sharded`, `profiled_obs_sharded` and `introspection` run
+//! the production `RuntimeMode::Sharded` pool.
 
 use std::time::Instant;
 
@@ -158,6 +160,19 @@ fn main() {
     // The production path: the sharded runtime at one shard per host
     // core, profiled against plain.
     let shards = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // The same production path with an obs hub publishing every epoch,
+    // so every publish also refreshes the `/profile` body.
+    let profiled_obs = {
+        use std::sync::Arc;
+        use vsmooth::obs::{ObsConfig, TelemetryHub};
+
+        let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
+        cfg.slice_cycles = SLICE;
+        let mut obs = ObsConfig::new(Arc::new(TelemetryHub::new()));
+        obs.publish_every = 1;
+        cfg.obs = Some(obs);
+        Service::new(cfg).expect("valid config")
+    };
     let mut ratios = vec![
         overhead("traced", &|| {
             let tracer = Tracer::enabled();
@@ -185,6 +200,25 @@ fn main() {
             },
             &|| {
                 service
+                    .run_profiled(
+                        &jobs,
+                        &OnlineDroop,
+                        shards,
+                        &Tracer::disabled(),
+                        ProfileConfig::default(),
+                    )
+                    .expect("service run");
+            },
+        ),
+        overhead_vs(
+            "profiled_obs_sharded",
+            &|| {
+                service
+                    .run(&jobs, &OnlineDroop, shards)
+                    .expect("service run");
+            },
+            &|| {
+                profiled_obs
                     .run_profiled(
                         &jobs,
                         &OnlineDroop,

@@ -261,8 +261,11 @@ pub struct ObsConfig {
     /// The hub to publish into — usually `ObsServer::hub()`.
     pub hub: Arc<TelemetryHub>,
     /// Publish one snapshot every this many epochs (0 acts as 1).
-    /// Raising it amortizes the per-publish metrics-snapshot clone on
-    /// hot runs; 1 keeps scrapes at most one epoch stale.
+    /// 1 keeps scrapes at most one epoch stale. Each publish clones the
+    /// metrics registry and, on profiled runs, refreshes the `/profile`
+    /// body; the profiler caches each label's rendered entry, so that
+    /// refresh re-renders only the labels recorded into since the
+    /// previous publish. Raising it amortizes what is left.
     pub publish_every: u64,
     /// Capacity of the coordinator-side recent-droop ring behind
     /// `/trace/recent`.

@@ -2,7 +2,7 @@
 //! estimate.
 
 use crate::attribution::{attribute_with, event_index, DroopAttribution, N_EVENTS};
-use crate::report::{ProfileReport, WorkloadProfile};
+use crate::report::{write_json_tail, write_workload_json, ProfileReport, WorkloadProfile};
 use crate::ProfileConfig;
 use std::collections::BTreeMap;
 use vsmooth_chip::DroopWindow;
@@ -70,6 +70,10 @@ pub struct Profiler {
     cfg: ProfileConfig,
     margin_pct: f64,
     profiles: BTreeMap<String, NoiseProfile>,
+    /// Rendered `workloads` entries of [`Self::to_json`], per label.
+    /// [`Self::record`] drops its label's entry, so every entry here
+    /// matches its profile.
+    rendered: BTreeMap<String, String>,
     total_droops: u64,
     total_windows: u64,
     truncated_windows: u64,
@@ -109,6 +113,7 @@ impl Profiler {
             cfg,
             margin_pct,
             profiles: BTreeMap::new(),
+            rendered: BTreeMap::new(),
             total_droops: 0,
             total_windows: 0,
             truncated_windows: 0,
@@ -154,6 +159,7 @@ impl Profiler {
             self.profiles
                 .insert(label.to_string(), NoiseProfile::new(&self.cfg));
         }
+        self.rendered.remove(label);
         let profile = self.profiles.get_mut(label).expect("just inserted");
         profile.droops += 1;
         if window.truncated {
@@ -281,14 +287,6 @@ impl Profiler {
     /// Snapshots everything into a serializable [`ProfileReport`].
     pub fn report(&self) -> ProfileReport {
         ProfileReport {
-            margin_pct: self.margin_pct,
-            decay_tau_cycles: self.cfg.decay_tau_cycles,
-            depth_bin_pct: self.cfg.depth_bin_pct,
-            depth_bins: self.cfg.depth_bins,
-            total_droops: self.total_droops,
-            total_windows: self.total_windows,
-            truncated_windows: self.truncated_windows,
-            resonance_period_cycles: self.estimated_resonance_period_cycles(),
             workloads: self
                 .profiles
                 .iter()
@@ -297,6 +295,50 @@ impl Profiler {
                     profile: profile.clone(),
                 })
                 .collect(),
+            ..self.report_head()
+        }
+    }
+
+    /// Renders the report's JSON: always equal to
+    /// `self.report().to_json()`, byte for byte. Each label's
+    /// `workloads` entry is rendered once and kept until a
+    /// [`Self::record`] under that label changes it, so a caller
+    /// publishing after every few records (the service's `/profile`
+    /// refresh) re-renders only the header and the labels recorded
+    /// into since its last call.
+    pub fn to_json(&mut self) -> String {
+        let mut out = String::new();
+        self.report_head().write_json_head(&mut out);
+        for (i, (label, profile)) in self.profiles.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match self.rendered.get(label) {
+                Some(entry) => out.push_str(entry),
+                None => {
+                    let mut entry = String::new();
+                    write_workload_json(&mut entry, label, profile);
+                    out.push_str(&entry);
+                    self.rendered.insert(label.clone(), entry);
+                }
+            }
+        }
+        write_json_tail(&mut out, !self.profiles.is_empty());
+        out
+    }
+
+    /// The report's scalar fields, with no workloads.
+    fn report_head(&self) -> ProfileReport {
+        ProfileReport {
+            margin_pct: self.margin_pct,
+            decay_tau_cycles: self.cfg.decay_tau_cycles,
+            depth_bin_pct: self.cfg.depth_bin_pct,
+            depth_bins: self.cfg.depth_bins,
+            total_droops: self.total_droops,
+            total_windows: self.total_windows,
+            truncated_windows: self.truncated_windows,
+            resonance_period_cycles: self.estimated_resonance_period_cycles(),
+            workloads: Vec::new(),
         }
     }
 }
@@ -399,5 +441,75 @@ mod tests {
         let labels: Vec<&str> = report.workloads.iter().map(|w| w.label.as_str()).collect();
         assert_eq!(labels, ["alpha", "zeta"]);
         assert_eq!(report.total_droops, 2);
+    }
+
+    /// `w` cut off `post` samples after its trigger, as an end-of-run
+    /// flush leaves it.
+    fn cut_short(w: &DroopWindow, post: usize) -> DroopWindow {
+        let keep = (w.trigger_cycle - w.start_cycle) as usize + post;
+        let mut cut = w.clone();
+        cut.truncated = true;
+        cut.voltage_dev_pct.truncate(keep);
+        for series in &mut cut.core_currents {
+            series.truncate(keep);
+        }
+        cut.events.retain(|e| e.cycle < w.start_cycle + keep as u64);
+        cut
+    }
+
+    #[test]
+    fn cached_json_matches_full_render_after_every_record() {
+        let (_, windows) = sphinx_windows();
+        assert!(windows.len() >= 12, "need windows for every label");
+        let mut profiler = Profiler::new(2.5, ProfileConfig::default());
+        let check = |p: &mut Profiler, step: &str| {
+            let full = p.report().to_json();
+            assert_eq!(p.to_json(), full, "cached render diverged {step}");
+            full
+        };
+        // Empty: header and an empty workloads array.
+        let empty = check(&mut profiler, "when empty");
+        assert!(empty.contains("\"workloads\": []"));
+        // A too-short tail pools no ringing: the resonance stays null
+        // while the label already has a (truncated) profile.
+        profiler.record("mid", &cut_short(&windows[0], 3));
+        let first = check(&mut profiler, "after a truncated first window");
+        assert!(first.contains("\"resonance_period_cycles\": null"));
+        assert!(first.contains("\"truncated_windows\": 1"));
+        let labels = ["mid", "zeta", "omega"];
+        let mut clone = None;
+        for (i, w) in windows.iter().enumerate().skip(1) {
+            // "alpha" sorts before every other label and first appears
+            // late, shifting the position of every cached entry.
+            let label = if i >= windows.len() / 2 && i % 2 == 0 {
+                "alpha"
+            } else {
+                labels[i % labels.len()]
+            };
+            if i % 5 == 0 {
+                profiler.record(label, &cut_short(w, 4 + i % 7));
+            } else {
+                profiler.record(label, w);
+            }
+            check(&mut profiler, &format!("after record {i} under {label}"));
+            if i == windows.len() / 3 {
+                clone = Some(profiler.clone());
+            }
+        }
+        let last = check(&mut profiler, "at the end");
+        assert!(!last.contains("\"resonance_period_cycles\": null"));
+        let report = profiler.report();
+        let seen: Vec<&str> = report.workloads.iter().map(|w| w.label.as_str()).collect();
+        assert_eq!(seen, ["alpha", "mid", "omega", "zeta"]);
+        assert!(report.truncated_windows > 1);
+        // A clone carries the cache with it and stays exact as it
+        // diverges from the original.
+        let mut clone = clone.expect("cloned mid-run");
+        check(&mut clone, "on a clone");
+        for (i, w) in windows.iter().enumerate().take(4) {
+            clone.record(["aardvark", "zeta"][i % 2], w);
+            check(&mut clone, &format!("on a clone after record {i}"));
+        }
+        assert_ne!(clone.to_json(), profiler.to_json());
     }
 }

@@ -102,7 +102,22 @@ impl ProfileReport {
     /// (`schema: vsmooth-profile-v1`). Floats render with fixed
     /// precision so equal reports are byte-equal.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
+        let mut out = String::new();
+        self.write_json_head(&mut out);
+        for (i, w) in self.workloads.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_workload_json(&mut out, &w.label, &w.profile);
+        }
+        write_json_tail(&mut out, !self.workloads.is_empty());
+        out
+    }
+
+    /// Writes everything up to and including `"workloads": [` — the
+    /// part of [`Self::to_json`] that does not depend on `workloads`.
+    pub(crate) fn write_json_head(&self, out: &mut String) {
+        out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"vsmooth-profile-v1\",");
         let _ = writeln!(out, "  \"margin_pct\": {:.4},", self.margin_pct);
         let _ = writeln!(out, "  \"decay_tau_cycles\": {:.4},", self.decay_tau_cycles);
@@ -128,53 +143,6 @@ impl ProfileReport {
         }
         out.push_str("],\n");
         out.push_str("  \"workloads\": [");
-        for (i, w) in self.workloads.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            let p = &w.profile;
-            let _ = writeln!(out, "      \"label\": \"{}\",", escape_json(&w.label));
-            let _ = writeln!(out, "      \"droops\": {},", p.droops);
-            let _ = writeln!(out, "      \"truncated_windows\": {},", p.truncated_windows);
-            let _ = writeln!(out, "      \"mean_depth_pct\": {:.4},", p.mean_depth_pct());
-            let _ = writeln!(out, "      \"max_depth_pct\": {:.4},", p.max_depth_pct);
-            let _ = writeln!(
-                out,
-                "      \"event_shares\": {},",
-                json_f64_array(&p.event_shares)
-            );
-            let _ = writeln!(out, "      \"unattributed\": {:.4},", p.unattributed);
-            let _ = writeln!(
-                out,
-                "      \"dominant_droops\": {},",
-                json_u64_array(&p.dominant_droops)
-            );
-            let _ = writeln!(
-                out,
-                "      \"unattributed_droops\": {},",
-                p.unattributed_droops
-            );
-            out.push_str("      \"share_matrix\": [");
-            for (e, row) in p.share_matrix.iter().enumerate() {
-                if e > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_f64_array(row));
-            }
-            out.push_str("],\n");
-            let _ = writeln!(
-                out,
-                "      \"window_events\": {}",
-                json_u64_array(&p.window_events)
-            );
-            out.push_str("    }");
-        }
-        if !self.workloads.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
     }
 
     /// Exports the report's integer aggregates as labeled series into
@@ -242,6 +210,55 @@ pub fn emit_window_span(
             ),
         ],
     );
+}
+
+/// Writes one element of the `workloads` array, from its leading
+/// newline to its closing brace (the separating comma is the caller's).
+pub(crate) fn write_workload_json(out: &mut String, label: &str, p: &NoiseProfile) {
+    out.push_str("\n    {\n");
+    let _ = writeln!(out, "      \"label\": \"{}\",", escape_json(label));
+    let _ = writeln!(out, "      \"droops\": {},", p.droops);
+    let _ = writeln!(out, "      \"truncated_windows\": {},", p.truncated_windows);
+    let _ = writeln!(out, "      \"mean_depth_pct\": {:.4},", p.mean_depth_pct());
+    let _ = writeln!(out, "      \"max_depth_pct\": {:.4},", p.max_depth_pct);
+    let _ = writeln!(
+        out,
+        "      \"event_shares\": {},",
+        json_f64_array(&p.event_shares)
+    );
+    let _ = writeln!(out, "      \"unattributed\": {:.4},", p.unattributed);
+    let _ = writeln!(
+        out,
+        "      \"dominant_droops\": {},",
+        json_u64_array(&p.dominant_droops)
+    );
+    let _ = writeln!(
+        out,
+        "      \"unattributed_droops\": {},",
+        p.unattributed_droops
+    );
+    out.push_str("      \"share_matrix\": [");
+    for (e, row) in p.share_matrix.iter().enumerate() {
+        if e > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&json_f64_array(row));
+    }
+    out.push_str("],\n");
+    let _ = writeln!(
+        out,
+        "      \"window_events\": {}",
+        json_u64_array(&p.window_events)
+    );
+    out.push_str("    }");
+}
+
+/// Closes the `workloads` array and the document.
+pub(crate) fn write_json_tail(out: &mut String, any_workloads: bool) {
+    if any_workloads {
+        out.push_str("\n  ");
+    }
+    out.push_str("]\n}\n");
 }
 
 fn json_f64_array(values: &[f64]) -> String {

@@ -309,56 +309,57 @@ impl<'a> Merge<'a> {
                 // every captured crossing maps onto this slice's
                 // window of the virtual clock.
                 let slice_start = log.session_start;
-                if self.tracer.wants_droop_events() || self.monitor.is_some() || self.obs.is_some()
-                {
+                let wants_trace = self.tracer.wants_droop_events();
+                let ring_armed = self.recent.is_some();
+                if wants_trace || self.monitor.is_some() || ring_armed {
+                    let phase = format!("epoch{}", rec.index);
                     for crossing in &log.crossings {
-                        let event = DroopEvent {
+                        // One event per crossing, moved into the last
+                        // armed consumer.
+                        let mut event = Some(DroopEvent {
                             chip: b.chip,
                             core: 0,
                             cycle: now + (crossing.cycle - slice_start),
                             depth_pct: crossing.depth_pct,
                             workloads: workloads.clone(),
-                            phase: format!("epoch{}", rec.index),
-                        };
+                            phase: phase.clone(),
+                        });
+                        if let Some(m) = self.monitor.as_deref_mut() {
+                            m.on_droop(hand_off(&mut event, wants_trace || ring_armed));
+                        }
+                        if wants_trace {
+                            self.tracer.droop(hand_off(&mut event, ring_armed));
+                        }
                         if let Some(ring) = self.recent.as_mut() {
                             if ring.len() == self.recent_cap {
                                 ring.pop_front();
                             }
-                            ring.push_back(event.clone());
-                        }
-                        match (
-                            self.monitor.as_deref_mut(),
-                            self.tracer.wants_droop_events(),
-                        ) {
-                            (Some(m), true) => {
-                                self.tracer.droop(event.clone());
-                                m.on_droop(event);
-                            }
-                            (Some(m), false) => m.on_droop(event),
-                            (None, true) => self.tracer.droop(event),
-                            // Obs-only run: the ring copy above was
-                            // the sole consumer.
-                            (None, false) => {}
+                            ring.push_back(hand_off(&mut event, false));
                         }
                     }
                 }
-                if let Some(m) = self.monitor.as_deref_mut() {
-                    m.on_slice(SliceRecord {
-                        start_cycle: now,
-                        chip: b.chip,
-                        label: workloads.join("+"),
-                        cycles: slice.cycles,
-                        droops: slice.droops,
-                        max_droop_pct: slice.max_droop_pct,
-                    });
-                }
-                if let Some(p) = self.profiler.as_deref_mut() {
-                    self.segs[b.chip].push(SliceSeg {
-                        session_start: slice_start,
-                        virtual_start: now,
-                        label: workloads.join("+"),
-                    });
-                    record_windows(p, self.tracer, b.chip, &self.segs[b.chip], &log.windows);
+                if self.monitor.is_some() || self.profiler.is_some() {
+                    // One label per busy chip, moved into the last
+                    // armed consumer.
+                    let mut label = Some(workloads.join("+"));
+                    if let Some(m) = self.monitor.as_deref_mut() {
+                        m.on_slice(SliceRecord {
+                            start_cycle: now,
+                            chip: b.chip,
+                            label: hand_off(&mut label, self.profiler.is_some()),
+                            cycles: slice.cycles,
+                            droops: slice.droops,
+                            max_droop_pct: slice.max_droop_pct,
+                        });
+                    }
+                    if let Some(p) = self.profiler.as_deref_mut() {
+                        self.segs[b.chip].push(SliceSeg {
+                            session_start: slice_start,
+                            virtual_start: now,
+                            label: hand_off(&mut label, false),
+                        });
+                        record_windows(p, self.tracer, b.chip, &self.segs[b.chip], &log.windows);
+                    }
                 }
             }
             for core in 0..2 {
@@ -423,10 +424,12 @@ impl<'a> Merge<'a> {
         if let Some(oc) = self.obs {
             if self.epochs_merged.is_multiple_of(self.publish_every) {
                 self.flush_slice_counters();
-                if let Some(p) = self.profiler.as_deref() {
-                    // Refresh /profile at publish cadence, not per
-                    // epoch: report assembly is the expensive part.
-                    self.last_profile = Some(Arc::new(p.report().to_json()));
+                if let Some(p) = self.profiler.as_deref_mut() {
+                    // Refresh /profile at publish cadence. The profiler
+                    // caches each label's rendered entry, so this
+                    // re-renders only the header and the labels
+                    // recorded into since the previous publish.
+                    self.last_profile = Some(Arc::new(p.to_json()));
                 }
                 let status = ServiceStatus {
                     epoch: self.epochs_merged,
@@ -534,16 +537,15 @@ impl<'a> Merge<'a> {
             .gauge_set("serve_chip_utilization", utilization);
         self.metrics
             .gauge_set("serve_warmed_profiles", self.book.warmed() as f64);
-        if let Some(p) = self.profiler.as_deref() {
+        if let Some(p) = self.profiler.as_deref_mut() {
             // Attribution series land in the same snapshot the report
             // embeds, so `droop_attribution_total{event=...}` shows up
             // in the rendered metrics and the Prometheus exposition.
-            let report = p.report();
-            report.export_metrics(self.metrics);
+            p.report().export_metrics(self.metrics);
             if self.obs.is_some() {
                 // The final /profile body includes the end-of-run
                 // flushed windows the periodic refreshes could not see.
-                self.last_profile = Some(Arc::new(report.to_json()));
+                self.last_profile = Some(Arc::new(p.to_json()));
             }
         }
         let health = self.monitor.as_deref().map(Monitor::report);
@@ -663,6 +665,13 @@ impl<'a> Merge<'a> {
             audit: self.audit.as_ref().map(AuditLog::report),
         })
     }
+}
+
+/// Hands a value built once to one of its consumers: a clone while
+/// `more` consumers follow, the value itself to the last one.
+fn hand_off<T: Clone>(value: &mut Option<T>, more: bool) -> T {
+    let value = if more { value.clone() } else { value.take() };
+    value.expect("only the last consumer takes the value")
 }
 
 /// Scores freshly sealed capture windows into the profiler and emits

@@ -10,7 +10,8 @@
 //!
 //! 1. the [`ServiceReport`] (struct equality *and* rendered bytes),
 //! 2. the Chrome trace JSON,
-//! 3. the `vsmooth-profile-v1` attribution JSON,
+//! 3. the `vsmooth-profile-v1` attribution JSON, both as returned and
+//!    as published on `/profile` at every epoch,
 //! 4. the monitor health report JSON (alerts and postmortems
 //!    included),
 //! 5. the obs hub snapshot stream (every periodic publish plus the
@@ -35,7 +36,7 @@ use vsmooth::profile::ProfileConfig;
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{AuditConfig, JobSpec, RuntimeMode, Service, ServiceConfig};
 use vsmooth::testkit::gen_job_stream;
-use vsmooth::trace::Tracer;
+use vsmooth::trace::{parse_json, Tracer};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -230,6 +231,85 @@ fn obs_snapshot_stream_matches_coordinator_at_every_shard_count() {
             last.metrics.counter("serve_slices_total"),
             "final per-shard slice sum diverged at {shards} shards"
         );
+    }
+}
+
+/// Runs a profiled service with obs publishing every epoch and
+/// returns every published `/profile` body in publish order (paired
+/// with the snapshot's `done` flag) and the returned report's JSON.
+fn published_profiles(
+    runtime: RuntimeMode,
+    workers: usize,
+    jobs: &[JobSpec],
+) -> (Vec<(bool, String)>, String) {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    let mut cfg = config(runtime);
+    let mut oc = ObsConfig::new(Arc::new(TelemetryHub::new()));
+    oc.publish_every = 1;
+    oc.on_publish = Some(Arc::new(move |snap: &ObsSnapshot| {
+        let done = snap.service.as_ref().expect("service status").done;
+        let body = snap.profile_json.as_deref().expect("profiler armed");
+        sink.lock().unwrap().push((done, body.clone()));
+    }));
+    cfg.obs = Some(oc);
+    let (_, profile) = Service::new(cfg)
+        .unwrap()
+        .run_profiled(
+            jobs,
+            &OnlineDroop,
+            workers,
+            &Tracer::disabled(),
+            ProfileConfig::default(),
+        )
+        .unwrap();
+    let bodies = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
+    (bodies, profile.to_json())
+}
+
+#[test]
+fn published_profile_bodies_match_coordinator_at_every_shard_count() {
+    let jobs = jobs(0x9A0F);
+    let (reference, reference_final) = published_profiles(RuntimeMode::Reference, 1, &jobs);
+    assert!(reference.len() > 2, "expected several periodic publishes");
+    // Every body is a vsmooth-profile-v1 document whose window total
+    // only ever grows.
+    let mut last_windows = 0;
+    for (i, (_, body)) in reference.iter().enumerate() {
+        let value = parse_json(body).expect("published /profile body parses");
+        assert_eq!(
+            value.get("schema").and_then(|v| v.as_str()),
+            Some("vsmooth-profile-v1"),
+            "publish {i}"
+        );
+        let windows = value
+            .get("total_windows")
+            .and_then(|v| v.as_f64())
+            .expect("total_windows");
+        assert!(windows >= last_windows as f64, "total_windows fell at {i}");
+        last_windows = windows as u64;
+    }
+    assert!(last_windows > 0, "expected captured windows");
+    // Only the final publish is done, and its body — the cached
+    // render — equals a full render of the returned report.
+    let (done, last) = reference.last().unwrap();
+    assert!(*done);
+    assert!(reference[..reference.len() - 1].iter().all(|(d, _)| !d));
+    assert_eq!(*last, reference_final, "final /profile body != report JSON");
+    for shards in SHARD_COUNTS {
+        let (sharded, sharded_final) = published_profiles(RuntimeMode::Sharded, shards, &jobs);
+        assert_eq!(
+            reference_final, sharded_final,
+            "report JSON diverged at {shards}"
+        );
+        assert_eq!(
+            reference.len(),
+            sharded.len(),
+            "publish count diverged at {shards} shards"
+        );
+        for (i, (a, b)) in reference.iter().zip(&sharded).enumerate() {
+            assert_eq!(a, b, "/profile body diverged at {shards}/{i}");
+        }
     }
 }
 
