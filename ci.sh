@@ -142,10 +142,12 @@ awk -F': ' '/"profiled_sharded":/ { gsub(/,/, "", $2); ok = ($2 + 0 <= 2.40) }
 # Instrumented production-path ceiling: the same profiled sharded run
 # with an obs hub publishing /profile every epoch, against plain.
 # Re-rendering the whole profile at every publish read 4.70-5.86x on a
-# 2-vCPU host; with per-label cached entries it reads 3.06-3.67x.
-awk -F': ' '/"profiled_obs_sharded":/ { gsub(/,/, "", $2); ok = ($2 + 0 <= 4.40) }
+# 2-vCPU host; with per-label cached entries it read 2.66-3.78x; with
+# the sinks replayed on their own thread, off the decision loop, it
+# reads 1.91-3.10x.
+awk -F': ' '/"profiled_obs_sharded":/ { gsub(/,/, "", $2); ok = ($2 + 0 <= 3.70) }
             END { exit !ok }' BENCH_serve.json \
-    || { echo "profiled obs-publishing overhead exceeds the 4.40x ceiling"; exit 1; }
+    || { echo "profiled obs-publishing overhead exceeds the 3.70x ceiling"; exit 1; }
 # Introspection-overhead ceiling: the live scoreboard plus the armed
 # decision audit must cost at most 1.10x over the sharded baseline.
 awk -F': ' '/"introspection":/ { gsub(/,/, "", $2); ok = ($2 + 0 <= 1.10) }

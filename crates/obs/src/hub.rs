@@ -1,7 +1,8 @@
-//! The [`TelemetryHub`]: the lock-light snapshot exchange between the
-//! service coordinator and the scrape server.
+//! The [`TelemetryHub`]: the lock-light snapshot exchange between a
+//! publisher (a service run's sink fold, or a fleet campaign) and the
+//! scrape server.
 //!
-//! The coordinator is the only writer: once per publish interval it
+//! The publisher is the only writer: once per publish interval it
 //! assembles an immutable [`ObsSnapshot`] and swaps it in with
 //! [`TelemetryHub::publish`]. Scrape threads call
 //! [`TelemetryHub::latest`] and get an `Arc` clone of whatever
@@ -100,7 +101,8 @@ pub struct ShardsStatus {
     pub grants: u64,
     /// Epochs the decision loop has finished deciding.
     pub epochs_decided: u64,
-    /// Epochs decided but not yet merged (merge-buffer lag).
+    /// Epochs decided but not yet replayed by the sink fold: how far
+    /// the artifact sinks lag the decision loop.
     pub merge_lag_epochs: u64,
     /// Decision-loop wall latency summary.
     pub decision_latency: LatencyStats,
@@ -128,7 +130,7 @@ pub struct FleetStatus {
 }
 
 /// One immutable observation of a running system: everything the
-/// scrape endpoints render, assembled coordinator-side.
+/// scrape endpoints render, assembled publisher-side.
 #[derive(Debug, Clone, Default)]
 pub struct ObsSnapshot {
     /// Metrics registry snapshot behind `/metrics`.
@@ -141,9 +143,11 @@ pub struct ObsSnapshot {
     /// Fleet-campaign progress behind `/status` (fleet publishers).
     pub fleet: Option<FleetStatus>,
     /// The most recent droop crossings behind `/trace/recent`, oldest
-    /// first. This ring is an independent coordinator-side copy; the
+    /// first. This ring is an independent publisher-side copy; the
     /// streaming tracer's own ring is never drained on its behalf.
-    pub recent_droops: Vec<DroopEvent>,
+    /// Events are shared with the publisher's ring, so a publish
+    /// bumps reference counts instead of copying events.
+    pub recent_droops: Vec<Arc<DroopEvent>>,
     /// Latest `vsmooth-profile-v1` JSON behind `/profile`.
     pub profile_json: Option<Arc<String>>,
     /// Live shard-runtime introspection behind `/shards` (absent on
@@ -155,7 +159,7 @@ pub struct ObsSnapshot {
     pub decisions: Vec<DecisionEvent>,
 }
 
-/// The snapshot exchange. One writer (the coordinator) swaps in
+/// The snapshot exchange. One writer (the publisher) swaps in
 /// `Arc<ObsSnapshot>`s; any number of readers clone the current one.
 ///
 /// # Examples
@@ -250,8 +254,9 @@ impl Default for TelemetryHub {
     }
 }
 
-/// Coordinator-side hook called with each snapshot right after it is
-/// published — see [`ObsConfig::on_publish`].
+/// Publisher-side hook called with each snapshot right after it is
+/// published — see [`ObsConfig::on_publish`]. A service run calls it
+/// on its sink-fold thread.
 pub type PublishHook = Arc<dyn Fn(&ObsSnapshot) + Send + Sync>;
 
 /// How a service run publishes into a [`TelemetryHub`]. Stored as
@@ -267,7 +272,7 @@ pub struct ObsConfig {
     /// refresh re-renders only the labels recorded into since the
     /// previous publish. Raising it amortizes what is left.
     pub publish_every: u64,
-    /// Capacity of the coordinator-side recent-droop ring behind
+    /// Capacity of the publisher-side recent-droop ring behind
     /// `/trace/recent`.
     pub recent_droops: usize,
     /// Optional per-epoch sleep, so demos and by-hand scraping have
@@ -276,7 +281,10 @@ pub struct ObsConfig {
     pub pace: Option<Duration>,
     /// Called after every publish with the snapshot just published —
     /// the deterministic hook integration tests scrape from, instead
-    /// of racing wall-clock against the epoch loop.
+    /// of racing wall-clock against the epoch loop. A service run
+    /// calls it on its sink-fold thread, which blocks in the hook: no
+    /// later snapshot is published until it returns, so a scrape from
+    /// inside the hook sees exactly this one.
     pub on_publish: Option<PublishHook>,
 }
 

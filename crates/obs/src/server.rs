@@ -251,7 +251,7 @@ fn serve_loop(listener: TcpListener, hub: &TelemetryHub, stop: &AtomicBool) {
     );
     metrics.describe(
         "serve_merge_lag_epochs",
-        "Epochs the decision loop is ahead of the merge layer.",
+        "Epochs the decision loop is ahead of the sink fold.",
     );
     metrics.describe(
         "serve_decision_latency_us",
@@ -842,13 +842,15 @@ mod tests {
             })
             .collect();
         snap.recent_droops = (0..5)
-            .map(|i| DroopEvent {
-                chip: 0,
-                core: 0,
-                cycle: 600 * (i as u64 + 1),
-                depth_pct: 3.5,
-                workloads: vec!["482.sphinx3".into()],
-                phase: format!("epoch{i}"),
+            .map(|i| {
+                Arc::new(DroopEvent {
+                    chip: 0,
+                    core: 0,
+                    cycle: 600 * (i as u64 + 1),
+                    depth_pct: 3.5,
+                    workloads: vec!["482.sphinx3".into()],
+                    phase: format!("epoch{i}"),
+                })
             })
             .collect();
         snap

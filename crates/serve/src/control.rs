@@ -4,14 +4,15 @@
 //! logs travel over.
 //!
 //! The decision loop never touches an artifact sink (metrics, tracer,
-//! monitor, profiler, obs hub, telemetry book). It only *decides* —
-//! admissions, placements, grants, analytic completions — and records
-//! each epoch as an [`EpochRec`]. Every observable side effect is
-//! produced later by the merge layer (`crate::merge`) replaying those
-//! records against the per-chip [`SliceLog`]s, in exactly the order
-//! the historical single-threaded loop produced them. Byte-identity
-//! of every artifact therefore holds by construction, regardless of
-//! which shard executed which slice when.
+//! monitor, profiler, obs hub). It only *decides* — admissions,
+//! placements, grants, analytic completions — records each epoch as
+//! an [`EpochRec`], and folds the telemetry book placement reads. Every
+//! observable side effect is produced later by the sink fold
+//! (`crate::merge`) replaying those records against the per-chip
+//! [`SliceLog`]s on its own thread, in exactly the order the
+//! historical single-threaded loop produced them. Byte-identity of
+//! every artifact therefore holds by construction, regardless of which
+//! shard executed which slice when.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -69,10 +70,11 @@ pub(crate) struct BusyChip {
     pub cores: [Option<CoreSlice>; 2],
 }
 
-/// Everything the decision loop decided in one epoch — the script
-/// entry the merge layer replays. `index` is the zero-based epoch
-/// number and `now` the virtual clock at the epoch's start.
-#[derive(Debug, Clone)]
+/// Everything the decision loop decided in one epoch — the record
+/// both merge folds replay, moved (never copied) from the decision
+/// thread to the sink fold. `index` is the zero-based epoch number and
+/// `now` the virtual clock at the epoch's start.
+#[derive(Debug)]
 pub(crate) struct EpochRec {
     pub index: u64,
     pub now: u64,

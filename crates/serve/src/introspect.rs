@@ -98,8 +98,8 @@ impl RuntimeStats {
     }
 
     /// Snapshots the scoreboard into the published obs section.
-    /// `epochs_merged` comes from the merge layer (lag = decided −
-    /// merged).
+    /// `epochs_merged` comes from the sink fold, so the lag (decided −
+    /// merged) is how far the sinks trail the decision loop.
     pub(crate) fn status(&self, epochs_merged: u64) -> ShardsStatus {
         let shards = self
             .shards

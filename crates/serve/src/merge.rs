@@ -1,28 +1,37 @@
 //! The merge layer: deterministic replay of the decision loop's
-//! epoch records against per-chip slice logs, reconstructing every
-//! artifact — metrics, trace records, monitor feed, profiler
-//! attribution, obs snapshots, the telemetry book and the completed
-//! jobs — in exactly the order the historical single-threaded loop
-//! produced them.
+//! epoch records against per-chip slice logs, split in two folds.
 //!
-//! The replay is keyed by `(epoch, chip)`: epoch records are replayed
-//! in epoch order, and within an epoch busy chips are walked in
-//! chip-index order. Which shard executed a slice, in what real-time
-//! order, with how much work-stealing — none of it is visible here,
-//! which is what makes every artifact byte-identical across kernels
-//! and shard counts (enforced by `tests/shard_equivalence.rs`). The
-//! single documented exception is the live shard-runtime section
+//! * The **book fold** ([`BookFold`]) runs on the decision thread. It
+//!   keeps only what placement reads — the [`TelemetryBook`] and the
+//!   job → workload map of resident jobs — and folds each epoch's
+//!   per-core counter deltas into the book before the epoch moves on.
+//! * The **sink fold** ([`Merge`]) runs on a thread of its own and
+//!   reconstructs every artifact — metrics, trace records, monitor
+//!   feed, profiler attribution, audit ring, obs snapshots and the
+//!   completed jobs — in exactly the order the historical
+//!   single-threaded loop produced them. It receives each epoch's
+//!   `(EpochRec, Vec<SliceLog>)` pair, moved through a bounded channel
+//!   after the book fold has read it.
+//!
+//! Both folds walk the same records in the same order: epoch records
+//! in epoch order, and within an epoch busy chips in chip-index
+//! order. Which shard executed a slice, in what real-time order, with
+//! how much work-stealing, how far the sink lags the decision loop —
+//! none of it is visible here, which is what makes every artifact
+//! byte-identical across kernels and shard counts (enforced by
+//! `tests/shard_equivalence.rs`). The single documented exception is
+//! the live shard-runtime section
 //! ([`ObsSnapshot::shards`](vsmooth_obs::ObsSnapshot)): per-shard
 //! counters read from the [`RuntimeStats`] scoreboard at publish time,
-//! whose steal split, queue high-water marks and wall-clock latencies
-//! are execution-dependent by design — only the total slice count
-//! reconciles deterministically (`tests/shard_stress.rs`).
+//! whose steal split, queue high-water marks, sink lag and wall-clock
+//! latencies are execution-dependent by design — only the total slice
+//! count reconciles deterministically (`tests/shard_stress.rs`).
 //!
-//! Slice-span trace records are built here too, from the epoch record
-//! (which jobs were resident) rather than by the shards, at exactly the
-//! point the historical loop emitted them.
+//! Slice-span trace records are built by the sink fold too, from the
+//! epoch record (which jobs were resident) rather than by the shards,
+//! at exactly the point the historical loop emitted them.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::audit::{AuditConfig, AuditLog};
@@ -67,7 +76,57 @@ struct RunMeta {
     attributed_droops: u64,
 }
 
-/// The replay engine plus all artifact-side run state.
+/// The decision thread's half of the merge: the telemetry book and
+/// the workload of every placed, unfinished job.
+#[derive(Debug, Default)]
+pub(crate) struct BookFold {
+    book: TelemetryBook,
+    workloads: HashMap<u64, String>,
+}
+
+impl BookFold {
+    /// The book placement scores candidates against; current through
+    /// every epoch folded so far.
+    pub(crate) fn book(&self) -> &TelemetryBook {
+        &self.book
+    }
+
+    /// Folds one epoch's per-core counter deltas into the book, in
+    /// `(chip, core)` order — the order the historical loop observed
+    /// them in, so every EWMA lands bit for bit.
+    pub(crate) fn fold(&mut self, rec: &EpochRec, logs: &[SliceLog]) {
+        for p in &rec.places {
+            self.workloads.insert(p.spec.id, p.spec.workload.clone());
+        }
+        for (b, log) in rec.busy.iter().zip(logs) {
+            let dpk = log.stats.droops_per_kilocycle();
+            for (cs, delta) in b.cores.iter().zip(&log.stats.core_deltas) {
+                let Some(cs) = cs else { continue };
+                let workload = &self.workloads[&cs.job];
+                self.book.observe(workload, delta, dpk);
+                if cs.finishes {
+                    self.workloads.remove(&cs.job);
+                }
+            }
+        }
+    }
+}
+
+/// The decision loop's totals at the end of a run, handed to
+/// [`Merge::finalize`].
+#[derive(Debug)]
+pub(crate) struct RunEnd {
+    /// Epochs decided and granted.
+    pub epochs: u64,
+    /// The virtual clock when the last epoch ended.
+    pub now: u64,
+    /// Occupied core-quanta granted over the run.
+    pub busy_core_quanta: u64,
+    /// [`TelemetryBook::warmed`] of the final book.
+    pub warmed_profiles: usize,
+}
+
+/// The sink fold: the replay engine plus all artifact-side run state.
 pub(crate) struct Merge<'a> {
     metrics: &'a MetricsRegistry,
     tracer: &'a Tracer,
@@ -76,10 +135,10 @@ pub(crate) struct Merge<'a> {
     obs: Option<&'a ObsConfig>,
     publish_every: u64,
     recent_cap: usize,
-    /// The /trace/recent ring: an independent merge-side copy
-    /// of recent crossings (the tracer's own ring stays
-    /// exporter-owned).
-    recent: Option<VecDeque<DroopEvent>>,
+    /// The /trace/recent ring: an independent sink-side copy of
+    /// recent crossings (the tracer's own ring stays exporter-owned).
+    /// Events are shared, so a publish copies pointers, not events.
+    recent: Option<VecDeque<Arc<DroopEvent>>>,
     /// The live introspection scoreboard, read (never written) at
     /// publish boundaries for the snapshot's `shards` section.
     stats: Arc<RuntimeStats>,
@@ -88,7 +147,6 @@ pub(crate) struct Merge<'a> {
     audit: Option<AuditLog>,
     slice_cycles: u64,
     jobs_submitted: usize,
-    book: TelemetryBook,
     running: BTreeMap<u64, RunMeta>,
     completed: Vec<CompletedJob>,
     segs: Vec<Vec<SliceSeg>>,
@@ -136,7 +194,6 @@ impl<'a> Merge<'a> {
             audit: audit.map(|a| AuditLog::new(a.capacity)),
             slice_cycles,
             jobs_submitted,
-            book: TelemetryBook::new(),
             running: BTreeMap::new(),
             completed: Vec::new(),
             segs: (0..chips).map(|_| Vec::new()).collect(),
@@ -148,12 +205,6 @@ impl<'a> Merge<'a> {
             last_profile: None,
             invariant_violations: 0,
         }
-    }
-
-    /// The placement loop scores candidates against this book; the
-    /// decision loop must be merge-synced before reading it.
-    pub(crate) fn book(&self) -> &TelemetryBook {
-        &self.book
     }
 
     /// Builds one busy chip's slice spans: one `slice` span per
@@ -286,7 +337,6 @@ impl<'a> Merge<'a> {
                 epoch_margin_weight +=
                     (PHASE_MARGIN_PCT + slice.mean_dev_pct) * slice.cycles as f64;
             }
-            let dpk = slice.droops_per_kilocycle();
             if slice.droops > 0 {
                 self.metrics.observe("droop_depth_pct", slice.max_droop_pct);
             }
@@ -334,7 +384,7 @@ impl<'a> Merge<'a> {
                             if ring.len() == self.recent_cap {
                                 ring.pop_front();
                             }
-                            ring.push_back(hand_off(&mut event, false));
+                            ring.push_back(Arc::new(hand_off(&mut event, false)));
                         }
                     }
                 }
@@ -371,7 +421,6 @@ impl<'a> Merge<'a> {
                 meta.executed_cycles += slice.cycles;
                 meta.instructions += delta.instructions();
                 meta.attributed_droops += slice.droops;
-                self.book.observe(&meta.spec.workload, delta, dpk);
                 if cs.finishes {
                     let meta = self.running.remove(&cs.job).expect("placed job tracked");
                     self.metrics.counter_add("serve_jobs_completed_total", 1);
@@ -484,16 +533,18 @@ impl<'a> Merge<'a> {
     /// observations, health/profile exports, the final obs publish,
     /// and the report. `cells` must come back from the shard pool in
     /// chip order.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn finalize(
         mut self,
         mut cells: Vec<ChipCell>,
         policy_name: String,
-        epochs: u64,
-        now: u64,
-        busy_core_quanta: u64,
-        chips: usize,
+        end: RunEnd,
     ) -> Result<crate::service::ServiceReport, ServeError> {
+        let RunEnd {
+            epochs,
+            now,
+            busy_core_quanta,
+            warmed_profiles,
+        } = end;
         self.flush_slice_counters();
         if let Some(p) = self.profiler.as_deref_mut() {
             // Seal windows whose tail was still filling at the end of
@@ -527,7 +578,7 @@ impl<'a> Merge<'a> {
             self.metrics.observe("serve_job_ipc", job.ipc());
         }
         let chip_cycles: u64 = cells.iter().map(|c| c.session.measured_cycles()).sum();
-        let core_quanta_available = 2 * chips as u64 * epochs;
+        let core_quanta_available = 2 * cells.len() as u64 * epochs;
         let utilization = if core_quanta_available == 0 {
             0.0
         } else {
@@ -536,7 +587,7 @@ impl<'a> Merge<'a> {
         self.metrics
             .gauge_set("serve_chip_utilization", utilization);
         self.metrics
-            .gauge_set("serve_warmed_profiles", self.book.warmed() as f64);
+            .gauge_set("serve_warmed_profiles", warmed_profiles as f64);
         if let Some(p) = self.profiler.as_deref_mut() {
             // Attribution series land in the same snapshot the report
             // embeds, so `droop_attribution_total{event=...}` shows up
@@ -657,7 +708,7 @@ impl<'a> Merge<'a> {
                 completed.len() as f64 * 1e6 / now as f64
             },
             mean_ipc: mean(&|j| j.ipc()),
-            warmed_profiles: self.book.warmed(),
+            warmed_profiles,
             metrics: snapshot.render(),
             snapshot,
             completed,

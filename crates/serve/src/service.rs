@@ -3,24 +3,35 @@
 //!
 //! # Architecture
 //!
-//! Since the shard-per-worker refactor the service is split in three:
+//! A run uses three kinds of thread:
 //!
-//! * **The decision loop** (this module) owns all scheduling state —
-//!   the pending/ready queues, a shadow of every chip's occupancy, and
-//!   the telemetry book scores read at placement. It never touches an
-//!   artifact sink; each epoch's decisions are recorded as an
-//!   [`EpochRec`] and execution is delegated to a [`ShardPool`].
+//! * **The decision loop plus book fold** (this module, on the calling
+//!   thread) owns all scheduling state — the pending/ready queues, a
+//!   shadow of every chip's occupancy, and the telemetry book scores
+//!   read at placement. Each epoch's decisions are recorded as an
+//!   [`EpochRec`] and execution is delegated to a [`ShardPool`]. Once
+//!   an epoch's slice logs are in, the loop folds their per-core
+//!   counter deltas into the book ([`BookFold`]) and *moves* the
+//!   record and its logs on to the sink fold through a bounded
+//!   channel. It never touches an artifact sink.
 //! * **The shard pool** (`crate::shard`) advances chips on long-lived
 //!   shard workers with per-shard run queues and work-stealing — the
 //!   service's only execution backend. [`RuntimeMode`] picks the chip
 //!   kernel the shards step: the fused kernel in production, the
 //!   reference cycle loop as a test oracle. Shards return one
 //!   `SliceLog` per granted slice.
-//! * **The merge layer** (`crate::merge`) replays epoch records
-//!   against slice logs in `(epoch, chip)` order, reconstructing
-//!   metrics, trace records, monitor feed, profiler attribution and
-//!   obs snapshots in exactly the order the historical
-//!   single-threaded loop produced them.
+//! * **The sink fold** (`crate::merge`, one scoped thread per run)
+//!   replays epoch records against slice logs in `(epoch, chip)`
+//!   order, reconstructing metrics, trace records, monitor feed,
+//!   profiler attribution, the audit ring and obs snapshots in exactly
+//!   the order the historical single-threaded loop produced them. Its
+//!   work overlaps the shards' next epochs instead of delaying their
+//!   grants; at most [`SINK_QUEUE_EPOCHS`] folded epochs wait for it
+//!   before the decision loop blocks on the hand-over.
+//!
+//! After the loop the decision thread hangs up the channel, joins the
+//! sink fold (returning its error or resuming its panic) and runs the
+//! end-of-run flushes and the report on the joined fold.
 //!
 //! # Determinism
 //!
@@ -29,13 +40,18 @@
 //!
 //! * Scheduling decisions (admission, pairing, placement) happen in
 //!   the decision loop between epochs, never concurrently, and the
-//!   loop syncs the merge through every prior epoch before any
-//!   decision that reads the telemetry book.
+//!   loop syncs the *book fold* through every prior epoch before any
+//!   decision that reads the telemetry book. How far the sink fold
+//!   lags behind is invisible to placement.
 //! * Shards only advance disjoint chips; their logs are keyed
-//!   `(epoch, chip)` and merged in that order regardless of which
-//!   shard ran what, when, or how much work was stolen.
+//!   `(epoch, chip)` and folded in that order by both folds,
+//!   regardless of which shard ran what, when, or how much work was
+//!   stolen.
 //! * Every float observation (gauges, histograms, EWMA folds) is
-//!   recorded by the merge layer in a fixed order.
+//!   recorded by one fold in a fixed order. After set-up, nothing on
+//!   the decision thread writes to the metrics registry or the tracer
+//!   while the sink fold runs, so every published snapshot is
+//!   execution-independent.
 //!
 //! The invariance is enforced by test twice over: the in-file tests
 //! pin reports/traces/profiles/health across worker counts, and
@@ -47,12 +63,13 @@ use crate::audit::{AuditConfig, AuditReport};
 use crate::control::{BusyChip, CellJob, CoreSlice, EpochRec, PlaceRec, RuntimeMode, SliceLog};
 use crate::introspect::RuntimeStats;
 use crate::job::{CompletedJob, JobSpec};
-use crate::merge::{Merge, PROFILE_TID};
+use crate::merge::{BookFold, Merge, RunEnd, PROFILE_TID};
 use crate::shard::{ChipCell, DrainPlan, ShardPool};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 use vsmooth_chip::sense::CrossingGrid;
@@ -67,6 +84,13 @@ use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
 use vsmooth_trace::{chip_pid, DecisionEvent, DecisionKind, Tracer, PID_JOBS, PID_MONITOR};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 use vsmooth_workload::by_name;
+
+/// Folded epochs that may wait for the sink fold before the decision
+/// loop blocks on handing over the next one. Larger bounds let the
+/// sink lag further behind and retain more slice logs in flight: on a
+/// 2-vCPU host, perfbench `serve_instrumented` ran as fast at 2 as at
+/// 4, and 4 raised its peak resident set by about 10 %.
+const SINK_QUEUE_EPOCHS: usize = 2;
 
 /// Static configuration of a service instance.
 #[derive(Debug, Clone)]
@@ -442,7 +466,6 @@ impl Service {
             );
         }
         let obs = self.cfg.obs.as_ref();
-        let audit_on = self.cfg.audit.is_some();
         let shards = workers.max(1);
         let fast = self.cfg.runtime.fast_kernel();
         // The live introspection scoreboard: shards, cells, pump and
@@ -521,6 +544,47 @@ impl Service {
             self.cfg.slice_cycles,
             jobs.len(),
         );
+        std::thread::scope(|scope| {
+            let (sink, inbox) = mpsc::sync_channel::<EpochWork>(SINK_QUEUE_EPOCHS);
+            let sink_fold = std::thread::Builder::new()
+                .name("vsmooth-sink".into())
+                .spawn_scoped(scope, move || -> Result<Merge, ServeError> {
+                    for (rec, logs) in inbox {
+                        merge.replay(&rec, &logs)?;
+                    }
+                    Ok(merge)
+                })
+                .expect("spawn sink fold");
+            let decided = self.decide(jobs, policy, &mut pool, &sink, &stats);
+            // Hang up so the sink drains what is queued and returns.
+            drop(sink);
+            let merge = match sink_fold.join() {
+                Ok(merge) => merge?,
+                Err(panic) => std::panic::resume_unwind(panic),
+            };
+            let end = match decided {
+                Ok(end) => end,
+                Err(Halt::Serve(e)) => return Err(e),
+                Err(Halt::SinkGone) => unreachable!("the sink fold only hangs up on an error"),
+            };
+            merge.finalize(pool.finish()?, policy.name(), end)
+        })
+    }
+
+    /// The decision loop: admits, places and grants epoch by epoch,
+    /// folds each epoch's logs into the telemetry book once they are
+    /// in, and moves every folded epoch on to the sink fold.
+    fn decide(
+        &self,
+        jobs: &[JobSpec],
+        policy: &dyn PairPolicy,
+        pool: &mut ShardPool,
+        sink: &SyncSender<EpochWork>,
+        stats: &RuntimeStats,
+    ) -> Result<RunEnd, Halt> {
+        let obs = self.cfg.obs.as_ref();
+        let audit_on = self.cfg.audit.is_some();
+        let mut book = BookFold::default();
         let mut pending: VecDeque<JobSpec> = {
             let mut sorted = jobs.to_vec();
             sorted.sort_by_key(|j| (j.arrival_cycle, j.id));
@@ -529,10 +593,9 @@ impl Service {
         let mut ready: VecDeque<JobSpec> = VecDeque::new();
         let mut shadows: Vec<ShadowChip> =
             (0..self.cfg.chips).map(|_| ShadowChip::default()).collect();
-        // The epoch script: `script[e]` is epoch `e`'s record, replayed
-        // by the merge layer once the epoch's slice logs are in.
-        let mut script: Vec<EpochRec> = Vec::new();
-        let mut merged = 0u64;
+        // Decided epochs not yet folded, oldest first: each is folded
+        // and moved to the sink once its slice logs are in.
+        let mut script: VecDeque<EpochRec> = VecDeque::new();
         let mut now = 0u64;
         let mut epochs = 0u64;
         let mut busy_core_quanta = 0u64;
@@ -547,8 +610,8 @@ impl Service {
                 let job = pending.pop_front().expect("front checked");
                 if let Some(capacity) = self.cfg.queue_capacity {
                     if ready.len() >= capacity {
-                        // Overflow: replay everything decided so far
-                        // plus this epoch's partial admissions, so
+                        // Overflow: hand the sink everything decided so
+                        // far plus this epoch's partial admissions, so
                         // metrics and trace state end exactly where
                         // the historical in-line loop left them, then
                         // surface the typed error.
@@ -565,15 +628,13 @@ impl Service {
                                 reason: "queue_overflow",
                             });
                         }
-                        script.push(rec);
+                        script.push_back(rec);
                         pool.wait_through(epochs)?;
-                        for r in &script[merged as usize..] {
-                            drive_epoch(&mut merge, &mut pool, r)?;
-                        }
-                        return Err(ServeError::QueueOverflow {
+                        fold_all(&mut book, pool, sink, &mut script)?;
+                        return Err(Halt::Serve(ServeError::QueueOverflow {
                             capacity,
                             job: overflowing,
-                        });
+                        }));
                     }
                 }
                 if audit_on {
@@ -601,21 +662,18 @@ impl Service {
             }
             if !ready.is_empty() && shadows.iter().any(|s| s.occupied() < 2) {
                 // Placement is about to read the telemetry book: sync
-                // the merge through every prior epoch first, so the
-                // pairing scores see exactly the observations the
+                // the book fold through every prior epoch first, so
+                // the pairing scores see exactly the observations the
                 // historical loop would have folded by now.
                 pool.wait_through(epochs)?;
-                while merged < epochs {
-                    drive_epoch(&mut merge, &mut pool, &script[merged as usize])?;
-                    merged += 1;
-                }
+                fold_all(&mut book, pool, sink, &mut script)?;
                 self.place(
                     &mut shadows,
                     &mut ready,
-                    merge.book(),
+                    book.book(),
                     policy,
                     &mut rec,
-                    &pool,
+                    pool,
                 )?;
             }
             for (chip, shadow) in shadows.iter_mut().enumerate() {
@@ -679,7 +737,7 @@ impl Service {
             pool.grant(epochs, &busy_chips);
             rec.queue_depth_after = ready.len();
             rec.running_after = shadows.iter().map(ShadowChip::occupied).sum();
-            script.push(rec);
+            script.push_back(rec);
             stats
                 .epochs_decided
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -688,12 +746,15 @@ impl Service {
             }
             now += self.cfg.slice_cycles;
             epochs += 1;
-            // Opportunistic merge: replay every epoch whose logs are
+            // Opportunistic fold: pass on every epoch whose logs are
             // already in. Keeps obs publishes flowing while shards
             // work and bounds retained logs.
-            while merged < epochs && pool.ready_through(merged + 1)? {
-                drive_epoch(&mut merge, &mut pool, &script[merged as usize])?;
-                merged += 1;
+            while let Some(front) = script.front() {
+                if !pool.ready_through(front.index + 1)? {
+                    break;
+                }
+                let rec = script.pop_front().expect("front checked");
+                fold_epoch(&mut book, pool, sink, rec)?;
             }
             if let Some(oc) = obs {
                 if let Some(pace) = oc.pace {
@@ -702,19 +763,13 @@ impl Service {
             }
         }
         pool.wait_through(epochs)?;
-        while merged < epochs {
-            drive_epoch(&mut merge, &mut pool, &script[merged as usize])?;
-            merged += 1;
-        }
-        let cells = pool.finish()?;
-        merge.finalize(
-            cells,
-            policy.name(),
+        fold_all(&mut book, pool, sink, &mut script)?;
+        Ok(RunEnd {
             epochs,
             now,
             busy_core_quanta,
-            self.cfg.chips,
-        )
+            warmed_profiles: book.book().warmed(),
+        })
     }
 
     /// Builds and warms up the chip cells; `fast` warms up through
@@ -881,16 +936,55 @@ impl Service {
     }
 }
 
-/// Replays one epoch: collects the epoch's slice logs from the pool
-/// (in `rec.busy`'s chip order — the caller must have established
-/// availability) and hands them to the merge layer.
-fn drive_epoch(merge: &mut Merge, pool: &mut ShardPool, rec: &EpochRec) -> Result<(), ServeError> {
+/// One folded epoch on its way to the sink: the record and its busy
+/// chips' slice logs, in `rec.busy` order.
+type EpochWork = (EpochRec, Vec<SliceLog>);
+
+/// Why the decision loop stopped before the end of the job stream.
+#[derive(Debug)]
+enum Halt {
+    /// A decision-side failure: a shard error or an admission overflow.
+    Serve(ServeError),
+    /// The sink fold hung up; its own error or panic says why.
+    SinkGone,
+}
+
+impl From<ServeError> for Halt {
+    fn from(e: ServeError) -> Self {
+        Self::Serve(e)
+    }
+}
+
+/// Folds one epoch on the decision thread: collects its slice logs
+/// from the pool (in `rec.busy`'s chip order — the caller must have
+/// established availability), folds them into the book, then moves
+/// the record and the logs on to the sink fold.
+fn fold_epoch(
+    book: &mut BookFold,
+    pool: &mut ShardPool,
+    sink: &SyncSender<EpochWork>,
+    rec: EpochRec,
+) -> Result<(), Halt> {
     let logs: Vec<SliceLog> = rec
         .busy
         .iter()
         .map(|b| pool.take_log(rec.index, b.chip))
         .collect();
-    merge.replay(rec, &logs)
+    book.fold(&rec, &logs);
+    sink.send((rec, logs)).map_err(|_| Halt::SinkGone)
+}
+
+/// Folds every epoch still in `script`, oldest first.
+fn fold_all(
+    book: &mut BookFold,
+    pool: &mut ShardPool,
+    sink: &SyncSender<EpochWork>,
+    script: &mut VecDeque<EpochRec>,
+) -> Result<(), Halt> {
+    while let Some(rec) = script.pop_front() {
+        fold_epoch(book, pool, sink, rec)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -69,8 +69,9 @@ impl WorkloadProfile {
 /// The service's telemetry store: workload name → EWMA profile.
 ///
 /// Updates must come from a single thread in a deterministic order
-/// (the service's coordinator applies them chip-by-chip after every
-/// epoch); the book itself is plain data.
+/// (the service's decision thread folds them chip by chip, core by
+/// core, once each epoch's slice logs are in); the book itself is
+/// plain data.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryBook {
     profiles: BTreeMap<String, WorkloadProfile>,

@@ -5,10 +5,11 @@
 //! after resolve hysteresis), and hostile requests must be answered
 //! with 400/404 without killing the accept loop.
 //!
-//! Mid-run scrapes ride the `on_publish` hook: the decision loop blocks
-//! in the hook right after swapping the snapshot in, so what the
-//! endpoints serve at that instant is exactly the snapshot just
-//! published — a deterministic observation, not a wall-clock race.
+//! Mid-run scrapes ride the `on_publish` hook: the service's sink-fold
+//! thread blocks in the hook right after swapping the snapshot in, and
+//! publishes nothing else until it returns, so what the endpoints
+//! serve at that instant is exactly the snapshot just published — a
+//! deterministic observation, not a wall-clock race.
 
 use std::sync::{Arc, Mutex};
 
